@@ -147,6 +147,9 @@ fn main() {
         server.shutdown();
     }
 
+    // Flush the trace before either exit, so a traced smoke run
+    // leaves its trace file too.
+    let _ = accelviz_trace::flush();
     if smoke {
         println!("smoke mode: skipping BENCH_concurrency.json");
         return;
@@ -161,5 +164,4 @@ fn main() {
     let mut f = std::fs::File::create(path).expect("create json");
     f.write_all(json.as_bytes()).expect("write json");
     println!("wrote {path}");
-    let _ = accelviz_trace::flush();
 }

@@ -236,6 +236,9 @@ fn main() {
         ));
     }
 
+    // Flush the trace before either exit, so a traced smoke run
+    // leaves its trace file too.
+    let _ = accelviz_trace::flush();
     if smoke {
         println!("smoke mode: skipping BENCH_failover.json");
         return;
@@ -252,5 +255,4 @@ fn main() {
     let mut file = std::fs::File::create(path).expect("create json");
     file.write_all(json.as_bytes()).expect("write json");
     println!("wrote {path}");
-    let _ = accelviz_trace::flush();
 }

@@ -194,6 +194,9 @@ fn main() {
     );
     svc.shutdown();
 
+    // Flush the trace before either exit, so a traced smoke run
+    // leaves its trace file too.
+    let _ = accelviz_trace::flush();
     if smoke {
         println!("smoke mode: skipping BENCH_shard.json");
         return;
@@ -210,5 +213,4 @@ fn main() {
     let mut f = std::fs::File::create(path).expect("create json");
     f.write_all(json.as_bytes()).expect("write json");
     println!("wrote {path}");
-    let _ = accelviz_trace::flush();
 }

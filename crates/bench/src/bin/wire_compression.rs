@@ -166,6 +166,9 @@ fn main() {
     assert!(rs.evictions > 0, "the one-frame budget must force paging");
     let _ = std::fs::remove_file(&path);
 
+    // Flush the trace before either exit, so a traced smoke run
+    // leaves its trace file too.
+    let _ = accelviz_trace::flush();
     if smoke {
         println!("smoke mode: skipping BENCH_wire.json");
         return;
@@ -191,5 +194,4 @@ fn main() {
     let mut f = std::fs::File::create(path).expect("create json");
     f.write_all(json.as_bytes()).expect("write json");
     println!("wrote {path}");
-    let _ = accelviz_trace::flush();
 }

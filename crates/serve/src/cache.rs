@@ -13,12 +13,19 @@
 //! coalesce — later arrivals block on that key's condition variable and
 //! count as hits when the first build lands. (The previous design held
 //! one coarse mutex across the build, serializing unrelated extractions.)
+//!
+//! Each entry is a [`ServedFrame`]: the extraction plus, per protocol
+//! version, the finished reply envelope, encoded on the first request
+//! at that version and written verbatim on every later hit. The bytes
+//! live inside the entry, so LRU eviction frees them with the frame and
+//! the cache stays bounded by its entry count.
 
 use crate::lru::LruOrder;
+use crate::wire::{FrameEnvelope, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Cache key: frame index plus the exact threshold bits. Using `to_bits`
 /// sidesteps float equality — a client re-requesting the same dialed
@@ -44,16 +51,44 @@ impl CacheKey {
     }
 }
 
+/// A cached extraction and its reply envelopes, one lazily filled slot
+/// per protocol version. Frames are immutable, so once a slot holds the
+/// encoded envelope every later request at that version writes the same
+/// bytes without re-encoding.
+pub struct ServedFrame {
+    /// The extracted frame.
+    pub frame: HybridFrame,
+    /// Slot `v - 1` holds the `RESP_FRAME` envelope for version `v`.
+    envelopes: [OnceLock<FrameEnvelope>; VERSION as usize],
+}
+
+impl ServedFrame {
+    /// Wraps `frame` with every envelope slot empty.
+    pub fn new(frame: HybridFrame) -> ServedFrame {
+        ServedFrame {
+            frame,
+            envelopes: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// The envelope slot for a session at `version` (1 ..= [`VERSION`]).
+    /// `get_or_init` on it encodes at most once, even when concurrent
+    /// first requests race for the same slot.
+    pub fn envelope(&self, version: u16) -> &OnceLock<FrameEnvelope> {
+        &self.envelopes[version as usize - 1]
+    }
+}
+
 /// In-flight build of one key. Waiters block on `cv` until `done` holds
 /// the outcome; `Err(())` means the builder panicked and the key is free
 /// to rebuild.
 struct Pending {
-    done: StdMutex<Option<Result<Arc<HybridFrame>, ()>>>,
+    done: StdMutex<Option<Result<Arc<ServedFrame>, ()>>>,
     cv: Condvar,
 }
 
 enum Entry {
-    Ready(Arc<HybridFrame>),
+    Ready(Arc<ServedFrame>),
     Building(Arc<Pending>),
 }
 
@@ -80,7 +115,8 @@ pub enum Probe {
     Vacant,
 }
 
-/// An LRU cache of extracted frames shared by all connection threads.
+/// An LRU cache of extracted frames (and their encoded replies) shared
+/// by all connection threads.
 pub struct ExtractionCache {
     inner: Mutex<Inner>,
 }
@@ -108,11 +144,11 @@ impl ExtractionCache {
         &self,
         key: CacheKey,
         build: impl FnOnce() -> HybridFrame,
-    ) -> (Arc<HybridFrame>, bool) {
+    ) -> (Arc<ServedFrame>, bool) {
         let mut build = Some(build);
         loop {
             enum Found {
-                Ready(Arc<HybridFrame>),
+                Ready(Arc<ServedFrame>),
                 Building(Arc<Pending>),
                 Vacant,
             }
@@ -169,10 +205,10 @@ impl ExtractionCache {
         key: CacheKey,
         pending: Arc<Pending>,
         build: impl FnOnce() -> HybridFrame,
-    ) -> (Arc<HybridFrame>, bool) {
+    ) -> (Arc<ServedFrame>, bool) {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
             Ok(frame) => {
-                let frame = Arc::new(frame);
+                let frame = Arc::new(ServedFrame::new(frame));
                 {
                     let mut g = self.inner.lock();
                     while g.order.len() >= g.capacity {
@@ -231,6 +267,7 @@ impl ExtractionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{encode_frame_envelope, V1, V2};
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
     use accelviz_octree::plots::PlotType;
@@ -293,6 +330,51 @@ mod tests {
     }
 
     #[test]
+    fn envelopes_encode_once_per_version_until_the_key_is_evicted() {
+        let cache = ExtractionCache::new(1);
+        let encodes = AtomicU64::new(0);
+        let envelope = |served: &ServedFrame, version: u16| {
+            served
+                .envelope(version)
+                .get_or_init(|| {
+                    encodes.fetch_add(1, Ordering::SeqCst);
+                    encode_frame_envelope(&served.frame, version)
+                })
+                .clone()
+        };
+        let (k0, k1) = (CacheKey::new(0, 1.0), CacheKey::new(1, 1.0));
+        let (a, _) = cache.get_or_build(k0, || frame(0));
+        let (v1, v2) = (envelope(&a, V1), envelope(&a, V2));
+        assert_ne!(v1, v2, "each version has its own slot");
+        let (again, hit) = cache.get_or_build(k0, || panic!("k0 is resident"));
+        assert!(hit);
+        assert_eq!(
+            (envelope(&again, V1), envelope(&again, V2)),
+            (v1, v2.clone())
+        );
+        assert_eq!(
+            encodes.load(Ordering::SeqCst),
+            2,
+            "hits reuse the stored bytes"
+        );
+
+        drop((a, again));
+        cache.get_or_build(k1, || frame(1)); // evicts k0 and its envelopes
+        let (rebuilt, hit) = cache.get_or_build(k0, || frame(0));
+        assert!(!hit);
+        assert_eq!(
+            envelope(&rebuilt, V2),
+            v2,
+            "a rebuild encodes the same bytes"
+        );
+        assert_eq!(
+            encodes.load(Ordering::SeqCst),
+            3,
+            "but it encodes them again"
+        );
+    }
+
+    #[test]
     fn same_cold_key_builds_once_across_threads() {
         let cache = Arc::new(ExtractionCache::new(4));
         let builds = Arc::new(AtomicU64::new(0));
@@ -314,7 +396,7 @@ mod tests {
                 })
             }));
         }
-        let results: Vec<(Arc<HybridFrame>, bool)> =
+        let results: Vec<(Arc<ServedFrame>, bool)> =
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(builds.load(Ordering::SeqCst), 1, "build ran exactly once");
         assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);

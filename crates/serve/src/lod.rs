@@ -23,13 +23,13 @@
 //!    that splice onto the resident partial frame, in store order.
 //! 3. **Final tail** (`RECORD_FINAL`) — the full-resolution grid plus
 //!    the length and FNV-1a 64 of the frame's *v1 encoding*. The
-//!    assembler re-encodes the spliced frame and must land on those
-//!    exact bytes, so any splice defect — a wrong range, a damaged
-//!    block, a grid swap — fails loudly instead of rendering subtly
-//!    wrong. This is the same end-to-end discipline as
+//!    assembler digests the spliced frame in v1 order and must land on
+//!    that exact length and hash, so any splice defect — a wrong range,
+//!    a damaged block, a grid swap — fails loudly instead of rendering
+//!    subtly wrong. This is the same end-to-end discipline as
 //!    [`decode_frame_v2`](crate::wire::decode_frame_v2), which is why
-//!    a fully-refined progressive
-//!    frame is bit-identical to a full v2 fetch.
+//!    a fully-refined progressive frame is bit-identical to a full v2
+//!    fetch.
 //!
 //! Planning is a pure function of `(frame, chunk budget)` — no clocks,
 //! no randomness — so a router that re-chunks a cached frame produces
@@ -39,8 +39,8 @@
 
 use crate::error::{Result, ServeError};
 use crate::wire::{
-    coord_code, coord_from_code, encode_frame, fnv1a64, put_aabb, read_aabb, read_f64_block,
-    PayloadReader, PayloadWriter, MAX_PAYLOAD,
+    coord_code, coord_from_code, put_aabb, read_aabb, read_f64_block, v1_digest, PayloadReader,
+    PayloadWriter, MAX_PAYLOAD,
 };
 use accelviz_beam::particle::Particle;
 use accelviz_core::hybrid::HybridFrame;
@@ -168,7 +168,6 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
     let cuts = align_cuts(&runs, chunk_points);
     debug_assert_eq!(cuts.last().copied(), Some(frame.points.len()));
 
-    let raw = encode_frame(frame);
     let total = (cuts.len() + 1) as u32;
     let mut records = Vec::with_capacity(total as usize);
 
@@ -206,8 +205,9 @@ pub fn plan_frame_chunks(frame: &HybridFrame, chunk_bytes: u64) -> Vec<Vec<u8>> 
     // Final tail: the full-resolution grid and the v1 trailer.
     let mut w = PayloadWriter::new();
     put_grid(&mut w, &frame.grid);
-    w.put_u64(raw.len() as u64);
-    w.put_u64(fnv1a64(&raw));
+    let (raw_len, raw_fnv) = v1_digest(frame);
+    w.put_u64(raw_len);
+    w.put_u64(raw_fnv);
     records.push(encode_record(&Record {
         kind: RECORD_FINAL,
         seq: total - 1,
@@ -361,14 +361,13 @@ impl ProgressiveAssembler {
                     discarded: header.discarded,
                 };
                 // The splice-correctness proof: the reassembled frame's
-                // v1 encoding must be the exact bytes the planner hashed.
-                let reencoded = encode_frame(&frame);
-                if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
+                // v1 encoding must digest to the exact bytes the planner
+                // hashed.
+                let (len, fnv) = v1_digest(&frame);
+                if len != raw_len || fnv != raw_fnv {
                     return Err(ServeError::Corrupt(format!(
-                        "reassembled frame re-encodes to {} bytes (fnv {:#018x}), trailer \
-                         promised {raw_len} (fnv {raw_fnv:#018x})",
-                        reencoded.len(),
-                        fnv1a64(&reencoded)
+                        "reassembled frame digests to {len} v1 bytes (fnv {fnv:#018x}), trailer \
+                         promised {raw_len} (fnv {raw_fnv:#018x})"
                     )));
                 }
                 self.final_frame = Some(frame);

@@ -10,7 +10,7 @@
 use crate::error::{Result, ServeError};
 use crate::stats::{LatencyHistogram, ServerStats, LATENCY_BUCKETS};
 use crate::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope,
+    decode_frame, decode_frame_v2, encode_frame_envelope, read_envelope, write_envelope,
     write_envelope_v, PayloadReader, PayloadWriter, V1, V2,
 };
 use accelviz_core::hybrid::HybridFrame;
@@ -217,11 +217,7 @@ pub fn write_response_v<W: Write>(w: &mut W, version: u16, resp: &Response) -> R
             RESP_LIST
         }
         Response::Frame(frame) => {
-            if version >= V2 {
-                let (payload, _raw) = encode_frame_v2(frame);
-                return write_envelope_v(w, V2, RESP_FRAME, &payload);
-            }
-            return write_envelope(w, RESP_FRAME, &encode_frame(frame));
+            return encode_frame_envelope(frame, if version >= V2 { V2 } else { V1 }).write_to(w);
         }
         Response::Stats(s) => {
             p.put_u64(s.requests);

@@ -46,12 +46,12 @@ use crate::health::{HealthConfig, Prober};
 use crate::lru::LruOrder;
 use crate::protocol::{
     read_request, write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
+    ERR_BAD_THRESHOLD, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
 };
 use crate::retry::RetryPolicy;
 use crate::server::{CountGuard, FrameServer, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
+use crate::wire::{encode_frame_envelope, V1, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::sorted_store::PartitionedData;
@@ -1159,12 +1159,7 @@ fn respond_router<S: Write>(
             // Re-encode at the *client's* negotiated version, straight
             // from the cached Arc — both codecs are deterministic, so the
             // bytes match what a direct server of the same data writes.
-            let payload = if *session_version >= V2 {
-                encode_frame_v2(&frame).0
-            } else {
-                encode_frame(&frame)
-            };
-            let bytes = write_envelope_v(stream, *session_version, RESP_FRAME, &payload)?;
+            let bytes = encode_frame_envelope(&frame, *session_version).write_to(stream)?;
             Ok((bytes, true))
         }
         Request::RequestFrameProgressive {

@@ -45,20 +45,20 @@
 //! of the catalog — clients speak the identical protocol to the router
 //! and cannot tell the difference (`crate::router`).
 
-use crate::cache::{CacheKey, ExtractionCache, Probe};
+use crate::cache::{CacheKey, ExtractionCache, Probe, ServedFrame};
 use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
 use crate::protocol::{
     write_response, write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME, RESP_FRAME,
+    ERR_BAD_THRESHOLD, ERR_BUSY, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
 };
 use crate::stats::{
     ServerStats, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED,
-    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_HANDLER_PANICS, CTR_LOD_BYTES_WIRE,
-    CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS,
-    HIST_LATENCY,
+    CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_FRAME_ENCODES, CTR_HANDLER_PANICS,
+    CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS, CTR_SHED_CONNECTIONS,
+    CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
-use crate::wire::{encode_frame, encode_frame_v2, write_envelope_v, V1, V2, VERSION};
+use crate::wire::{encode_frame_envelope, V1, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
@@ -109,7 +109,10 @@ impl ServeBackend {
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Extractions the shared cache holds.
+    /// Extractions the shared cache holds. Each entry also keeps the
+    /// encoded reply envelope for every protocol version it has been
+    /// served at, so the cache holds at most this many frames plus one
+    /// envelope per negotiated version each; eviction frees both.
     pub cache_capacity: usize,
     /// Resolution of the density volume in served frames.
     pub volume_dims: [usize; 3],
@@ -824,31 +827,26 @@ pub(crate) fn respond<S: Write>(
             ))
         }
         Request::RequestFrame { frame, threshold } => {
-            let extracted = match acquire_frame(shared, frame, threshold, stream, *session_version)?
-            {
-                Ok(frame) => frame,
+            let served = match acquire_frame(shared, frame, threshold, stream, *session_version)? {
+                Ok(served) => served,
                 Err(reply_written) => return Ok(reply_written),
             };
-            // Encode straight from the cached Arc — no frame clone. The
-            // session version picks the payload encoding; both are
-            // counted so the stats expose the live compression ratio.
-            let bytes = {
-                let mut span = accelviz_trace::span("serve.send");
-                let (payload, raw_len) = if *session_version >= V2 {
-                    encode_frame_v2(&extracted)
-                } else {
-                    let payload = encode_frame(&extracted);
-                    let raw_len = payload.len() as u64;
-                    (payload, raw_len)
-                };
-                shared.metrics.add(CTR_FRAME_BYTES_RAW, raw_len);
-                shared
-                    .metrics
-                    .add(CTR_FRAME_BYTES_WIRE, payload.len() as u64);
-                let bytes = write_envelope_v(stream, *session_version, RESP_FRAME, &payload)?;
-                span.arg("bytes", bytes as f64);
-                bytes
-            };
+            // The first request at this session version encodes the
+            // envelope into the cache entry; every later one writes the
+            // stored bytes. Both lengths are counted per reply so the
+            // stats expose the live compression ratio.
+            let envelope = served.envelope(*session_version).get_or_init(|| {
+                let _span = accelviz_trace::span("serve.encode");
+                shared.metrics.add(CTR_FRAME_ENCODES, 1);
+                encode_frame_envelope(&served.frame, *session_version)
+            });
+            shared.metrics.add(CTR_FRAME_BYTES_RAW, envelope.raw_len);
+            shared
+                .metrics
+                .add(CTR_FRAME_BYTES_WIRE, envelope.payload_len());
+            let mut span = accelviz_trace::span("serve.send");
+            let bytes = envelope.write_to(stream)?;
+            span.arg("bytes", bytes as f64);
             Ok((bytes, true))
         }
         Request::RequestFrameProgressive {
@@ -869,9 +867,8 @@ pub(crate) fn respond<S: Write>(
                 };
                 return Ok((write_response_v(stream, *session_version, &reply)?, false));
             }
-            let extracted = match acquire_frame(shared, frame, threshold, stream, *session_version)?
-            {
-                Ok(frame) => frame,
+            let served = match acquire_frame(shared, frame, threshold, stream, *session_version)? {
+                Ok(served) => served,
                 Err(reply_written) => return Ok(reply_written),
             };
             // Same cache entry as a plain fetch — a progressive and a
@@ -880,7 +877,7 @@ pub(crate) fn respond<S: Write>(
             let records = {
                 let mut span = accelviz_trace::span("serve.lod_send");
                 let records = crate::lod::plan_frame_chunks(
-                    &extracted,
+                    &served.frame,
                     crate::lod::chunk_budget(chunk_bytes),
                 );
                 span.arg("chunks", records.len() as f64);
@@ -917,7 +914,7 @@ fn acquire_frame<S: Write>(
     threshold: f64,
     stream: &mut S,
     session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<HybridFrame>, (u64, bool)>> {
+) -> crate::error::Result<std::result::Result<Arc<ServedFrame>, (u64, bool)>> {
     if threshold.is_nan() {
         // NaN has no place in the density order: extraction's
         // partition_point would silently return an empty prefix,

@@ -48,6 +48,11 @@ pub const CTR_FRAME_BYTES_RAW: &str = "serve.frame_bytes_raw";
 /// Registry counter: frame payload bytes actually written to the wire
 /// (compressed under AVWF v2, identical to raw for v1 sessions).
 pub const CTR_FRAME_BYTES_WIRE: &str = "serve.frame_bytes_wire";
+/// Registry counter: frame reply envelopes encoded. A cached frame is
+/// encoded once per protocol version it is served at and its bytes are
+/// reused on every later hit, so this counts distinct (key, version)
+/// pairs since each key was last built. Registry-only.
+pub const CTR_FRAME_ENCODES: &str = "serve.frame_encodes";
 /// Registry counter: progressive (LOD) frame requests served. Each also
 /// counts once under `serve.frames_served`; this isolates the
 /// progressive share. Registry-only — the `Stats` wire shape is frozen.

@@ -48,12 +48,37 @@ pub const MAX_PAYLOAD: u64 = 1 << 30;
 
 /// FNV-1a 64-bit hash — the envelope checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Streaming FNV-1a 64: feeding bytes in any number of pieces yields the
+/// same hash as [`fnv1a64`] over their concatenation, so a checksum can
+/// run over a header and a payload — or over a frame's fields in v1
+/// order — without ever concatenating them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    /// A hasher at the FNV-1a 64 offset basis (the hash of no bytes).
+    pub(crate) const fn new() -> Fnv64 {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Continues the hash over `bytes`.
+    #[inline]
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of every byte written so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One framed message: its version, kind byte, and raw payload.
@@ -82,6 +107,18 @@ pub fn write_envelope<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<u
     write_envelope_v(w, V1, kind, payload)
 }
 
+/// The 16-byte envelope header for a `kind` message of `payload_len`
+/// bytes at `version`.
+fn envelope_header(version: u16, kind: u8, payload_len: u64) -> [u8; 16] {
+    let mut header = [0u8; 16];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&version.to_le_bytes());
+    header[6] = kind;
+    header[7] = 0;
+    header[8..16].copy_from_slice(&payload_len.to_le_bytes());
+    header
+}
+
 /// Writes one envelope at an explicit protocol version; returns the wire
 /// bytes written.
 pub fn write_envelope_v<W: Write>(
@@ -90,23 +127,13 @@ pub fn write_envelope_v<W: Write>(
     kind: u8,
     payload: &[u8],
 ) -> Result<u64> {
-    let mut header = [0u8; 16];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4..6].copy_from_slice(&version.to_le_bytes());
-    header[6] = kind;
-    header[7] = 0;
-    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-
-    let mut hash = fnv1a64(&header);
-    // Continue the FNV chain over the payload without concatenating.
-    for &b in payload {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // fnv1a64(header ++ payload) computed incrementally above.
+    let header = envelope_header(version, kind, payload.len() as u64);
+    let mut hash = Fnv64::new();
+    hash.write(&header);
+    hash.write(payload);
     w.write_all(&header)?;
     w.write_all(payload)?;
-    w.write_all(&hash.to_le_bytes())?;
+    w.write_all(&hash.finish().to_le_bytes())?;
     w.flush()?;
     Ok(HEADER_BYTES + payload.len() as u64 + CHECKSUM_BYTES)
 }
@@ -159,11 +186,10 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
     read_exact_or_truncated(r, &mut trailer)?;
     let expected = u64::from_le_bytes(trailer);
 
-    let mut actual = fnv1a64(&header);
-    for &b in &payload {
-        actual ^= b as u64;
-        actual = actual.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut hash = Fnv64::new();
+    hash.write(&header);
+    hash.write(&payload);
+    let actual = hash.finish();
     if actual != expected {
         return Err(ServeError::ChecksumMismatch { expected, actual });
     }
@@ -386,36 +412,86 @@ pub(crate) fn read_aabb(r: &mut PayloadReader<'_>) -> Result<Aabb> {
     Ok(Aabb { min, max })
 }
 
-/// Encodes a [`HybridFrame`] payload (kind `RESP_FRAME` carries one).
-pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    w.put_u64(frame.step as u64);
-    for c in frame.plot.coords {
-        w.put_u8(coord_code(c));
-    }
-    put_aabb(&mut w, &frame.bounds);
-    w.put_f64(frame.threshold);
-    w.put_u64(frame.discarded);
+/// Where the v1 frame walk puts its bytes: a payload buffer to encode
+/// the frame, or a running hash to digest it without building one. One
+/// walk serves both, so the digest cannot drift from the encoding.
+trait V1Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
 
-    w.put_u64(frame.points.len() as u64);
+impl V1Sink for PayloadWriter {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
+impl V1Sink for Fnv64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+    }
+}
+
+/// Feeds `frame`'s fields to `sink` in v1 payload order.
+fn walk_v1<S: V1Sink>(sink: &mut S, frame: &HybridFrame) {
+    let aabb = |sink: &mut S, b: &Aabb| {
+        for v in [b.min, b.max] {
+            for c in [v.x, v.y, v.z] {
+                sink.put(&c.to_le_bytes());
+            }
+        }
+    };
+    sink.put(&(frame.step as u64).to_le_bytes());
+    for c in frame.plot.coords {
+        sink.put(&[coord_code(c)]);
+    }
+    aabb(sink, &frame.bounds);
+    sink.put(&frame.threshold.to_le_bytes());
+    sink.put(&frame.discarded.to_le_bytes());
+
+    sink.put(&(frame.points.len() as u64).to_le_bytes());
     for p in &frame.points {
         for v in p.to_array() {
-            w.put_f64(v);
+            sink.put(&v.to_le_bytes());
         }
     }
     for &d in &frame.point_densities {
-        w.put_f64(d);
+        sink.put(&d.to_le_bytes());
     }
 
-    let dims = frame.grid.dims();
-    for d in dims {
-        w.put_u64(d as u64);
+    for d in frame.grid.dims() {
+        sink.put(&(d as u64).to_le_bytes());
     }
-    put_aabb(&mut w, frame.grid.bounds());
+    aabb(sink, frame.grid.bounds());
     for &v in frame.grid.data() {
-        w.put_f32(v);
+        sink.put(&v.to_le_bytes());
     }
+}
+
+/// Size of `frame`'s v1 payload: the fixed header and grid framing, 56 B
+/// per point (six coordinates and a density), 4 B per grid cell.
+fn v1_len(frame: &HybridFrame) -> u64 {
+    const FIXED: u64 = 8 + 3 + 48 + 8 + 8 + 8 + 24 + 48;
+    FIXED + 56 * frame.points.len() as u64 + 4 * frame.grid.data().len() as u64
+}
+
+/// Encodes a [`HybridFrame`] payload (kind `RESP_FRAME` carries one).
+pub fn encode_frame(frame: &HybridFrame) -> Vec<u8> {
+    let mut w = PayloadWriter {
+        buf: Vec::with_capacity(v1_len(frame) as usize),
+    };
+    walk_v1(&mut w, frame);
     w.into_bytes()
+}
+
+/// The length and FNV-1a 64 of `frame`'s v1 encoding, computed by
+/// hashing its fields in v1 order — no v1 buffer is built. Equal to
+/// `(encode_frame(frame).len(), fnv1a64(&encode_frame(frame)))`.
+pub fn v1_digest(frame: &HybridFrame) -> (u64, u64) {
+    let mut hash = Fnv64::new();
+    walk_v1(&mut hash, frame);
+    (v1_len(frame), hash.finish())
 }
 
 /// Decodes a [`HybridFrame`] payload. The result compares equal
@@ -492,23 +568,26 @@ pub fn decode_frame(payload: &[u8]) -> Result<HybridFrame> {
 /// densities), the grid dims and bounds, one `f32` codec block for the
 /// grid cells, and finally the length and FNV-1a 64 checksum of the
 /// frame's *v1 encoding*. The trailing checksum is over the decoded
-/// content, not the compressed bytes: [`decode_frame_v2`] re-encodes
-/// what it decoded and must land on these exact bytes, so any codec
-/// defect is caught end-to-end rather than trusted.
+/// content, not the compressed bytes: [`decode_frame_v2`] digests what
+/// it decoded in v1 order and must land on this exact length and hash,
+/// so any codec defect is caught end-to-end rather than trusted.
 ///
 /// Returns `(payload, raw_len)` where `raw_len` is the size the same
 /// frame occupies under [`encode_frame`] — the numerator of the
 /// compression ratio the server's stats report.
 pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
-    let raw = encode_frame(frame);
-    let raw_fnv = fnv1a64(&raw);
-
     let mut w = PayloadWriter::new();
+    let raw_len = put_frame_v2(&mut w, frame);
+    (w.into_bytes(), raw_len)
+}
+
+/// Appends `frame`'s v2 payload to `w`; returns the frame's v1 length.
+fn put_frame_v2(w: &mut PayloadWriter, frame: &HybridFrame) -> u64 {
     w.put_u64(frame.step as u64);
     for c in frame.plot.coords {
         w.put_u8(coord_code(c));
     }
-    put_aabb(&mut w, &frame.bounds);
+    put_aabb(w, &frame.bounds);
     w.put_f64(frame.threshold);
     w.put_u64(frame.discarded);
 
@@ -527,12 +606,74 @@ pub fn encode_frame_v2(frame: &HybridFrame) -> (Vec<u8>, u64) {
     for d in dims {
         w.put_u64(d as u64);
     }
-    put_aabb(&mut w, frame.grid.bounds());
+    put_aabb(w, frame.grid.bounds());
     w.put_bytes(&encode_f32s(frame.grid.data()));
 
-    w.put_u64(raw.len() as u64);
+    let (raw_len, raw_fnv) = v1_digest(frame);
+    w.put_u64(raw_len);
     w.put_u64(raw_fnv);
-    (w.into_bytes(), raw.len() as u64)
+    raw_len
+}
+
+/// A finished `RESP_FRAME` envelope — header, payload, and checksum
+/// trailer in one buffer — ready to be written as is, any number of
+/// times.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FrameEnvelope {
+    /// The complete envelope bytes.
+    pub bytes: Box<[u8]>,
+    /// What the frame occupies as a raw v1 payload (equal to the payload
+    /// length at v1) — the numerator of the compression ratio.
+    pub raw_len: u64,
+}
+
+impl FrameEnvelope {
+    /// Length of the payload between header and trailer.
+    pub fn payload_len(&self) -> u64 {
+        self.bytes.len() as u64 - HEADER_BYTES - CHECKSUM_BYTES
+    }
+
+    /// Writes the envelope and flushes; returns the wire bytes written.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<u64> {
+        w.write_all(&self.bytes)?;
+        w.flush()?;
+        Ok(self.bytes.len() as u64)
+    }
+}
+
+/// Encodes `frame` as a complete `RESP_FRAME` envelope for a session at
+/// `version` (v2 and up compress the payload) in one buffer: the header
+/// is reserved, the payload encoded after it, then the header is patched
+/// and the trailer appended. The bytes equal what [`write_envelope_v`]
+/// writes for the [`encode_frame_v2`] (or, at v1, [`encode_frame`])
+/// payload.
+pub fn encode_frame_envelope(frame: &HybridFrame, version: u16) -> FrameEnvelope {
+    // The v1 size is exact for v1 and an upper bound for the compressed
+    // v2 payload on real frames, so the buffer rarely regrows.
+    let raw = v1_len(frame);
+    let mut w = PayloadWriter {
+        buf: Vec::with_capacity((HEADER_BYTES + raw + CHECKSUM_BYTES) as usize),
+    };
+    w.buf.resize(HEADER_BYTES as usize, 0);
+    let raw_len = if version >= V2 {
+        put_frame_v2(&mut w, frame)
+    } else {
+        walk_v1(&mut w, frame);
+        raw
+    };
+    let mut buf = w.into_bytes();
+    let payload_len = buf.len() as u64 - HEADER_BYTES;
+    buf[..HEADER_BYTES as usize].copy_from_slice(&envelope_header(
+        version,
+        crate::protocol::RESP_FRAME,
+        payload_len,
+    ));
+    let checksum = fnv1a64(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    FrameEnvelope {
+        bytes: buf.into_boxed_slice(),
+        raw_len,
+    }
 }
 
 /// Reads one codec block of `expect` `f64`s from the reader's tail.
@@ -544,9 +685,9 @@ pub(crate) fn read_f64_block(r: &mut PayloadReader<'_>, expect: usize) -> Result
     Ok(values)
 }
 
-/// Decodes an AVWF v2 frame payload, then verifies it by re-encoding:
-/// the decoded frame's v1 bytes must match the length and checksum the
-/// encoder stamped into the trailer.
+/// Decodes an AVWF v2 frame payload, then verifies it: the decoded
+/// frame's v1 length and checksum ([`v1_digest`]) must match the ones
+/// the encoder stamped into the trailer.
 pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
     let mut r = PayloadReader::new(payload);
     let step = r.u64()? as usize;
@@ -619,13 +760,11 @@ pub fn decode_frame_v2(payload: &[u8]) -> Result<HybridFrame> {
         threshold,
         discarded,
     };
-    let reencoded = encode_frame(&frame);
-    if reencoded.len() as u64 != raw_len || fnv1a64(&reencoded) != raw_fnv {
+    let (len, fnv) = v1_digest(&frame);
+    if len != raw_len || fnv != raw_fnv {
         return Err(ServeError::Corrupt(format!(
-            "decoded frame re-encodes to {} bytes (fnv {:#018x}), trailer promised {raw_len} \
-             (fnv {raw_fnv:#018x})",
-            reencoded.len(),
-            fnv1a64(&reencoded)
+            "decoded frame digests to {len} v1 bytes (fnv {fnv:#018x}), trailer promised \
+             {raw_len} (fnv {raw_fnv:#018x})"
         )));
     }
     Ok(frame)
@@ -641,6 +780,17 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streaming_fnv_matches_one_shot_over_any_split() {
+        let bytes = b"header, then payload";
+        for split in 0..=bytes.len() {
+            let mut h = Fnv64::new();
+            h.write(&bytes[..split]);
+            h.write(&bytes[split..]);
+            assert_eq!(h.finish(), fnv1a64(bytes), "split at {split}");
+        }
     }
 
     #[test]

@@ -9,9 +9,11 @@ use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
 use accelviz_octree::plots::PlotType;
 use accelviz_serve::error::ServeError;
+use accelviz_serve::protocol::RESP_FRAME;
 use accelviz_serve::protocol::{read_response, write_response, write_response_v, Response};
 use accelviz_serve::wire::{
-    decode_frame, decode_frame_v2, encode_frame, encode_frame_v2, read_envelope, write_envelope, V2,
+    decode_frame, decode_frame_v2, encode_frame, encode_frame_envelope, encode_frame_v2, fnv1a64,
+    read_envelope, v1_digest, write_envelope, write_envelope_v, V1, V2,
 };
 use proptest::prelude::*;
 
@@ -65,8 +67,87 @@ fn arb_frame() -> impl Strategy<Value = HybridFrame> {
         )
 }
 
+/// Floats a bit-exact digest must not normalize: NaNs (including one
+/// with a payload), both zeros, and the infinities, mixed with ordinary
+/// values.
+fn edge_f64() -> impl Strategy<Value = f64> {
+    (0usize..10, -1e3..1e3f64).prop_map(|(pick, ordinary)| match pick {
+        0 => f64::NAN,
+        1 => f64::from_bits(0x7ff8_0000_dead_beef),
+        2 => -0.0,
+        3 => 0.0,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => ordinary,
+    })
+}
+
+/// [`arb_frame`] with edge-case floats sprinkled over every float field,
+/// and with its points dropped half the time (an empty frame).
+fn arb_edge_frame() -> impl Strategy<Value = HybridFrame> {
+    (
+        arb_frame(),
+        prop::collection::vec(edge_f64(), 1..64),
+        0u8..2,
+    )
+        .prop_map(|(mut frame, edges, empty)| {
+            let mut edge = edges.iter().copied().cycle();
+            if empty == 1 {
+                frame.points.clear();
+                frame.point_densities.clear();
+            }
+            frame.threshold = edge.next().unwrap();
+            frame.bounds.max.y = edge.next().unwrap();
+            for p in &mut frame.points {
+                let mut a = p.to_array();
+                for v in &mut a {
+                    *v = edge.next().unwrap();
+                }
+                *p = Particle::from_array(a);
+            }
+            for d in &mut frame.point_densities {
+                *d = edge.next().unwrap();
+            }
+            let cells: Vec<f32> = frame
+                .grid
+                .data()
+                .iter()
+                .map(|_| edge.next().unwrap() as f32)
+                .collect();
+            frame.grid = DensityGrid::from_raw(*frame.grid.bounds(), frame.grid.dims(), cells);
+            frame
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn v1_digest_matches_hashing_the_v1_encoding(
+        frame in arb_edge_frame()
+    ) {
+        let raw = encode_frame(&frame);
+        prop_assert_eq!(v1_digest(&frame), (raw.len() as u64, fnv1a64(&raw)));
+    }
+
+    #[test]
+    fn frame_envelopes_equal_the_payload_written_through_write_envelope_v(
+        frame in arb_edge_frame()
+    ) {
+        let raw = encode_frame(&frame);
+        let mut v1 = Vec::new();
+        write_envelope_v(&mut v1, V1, RESP_FRAME, &raw).unwrap();
+        let env = encode_frame_envelope(&frame, V1);
+        prop_assert_eq!(&env.bytes[..], &v1[..]);
+        prop_assert_eq!((env.raw_len, env.payload_len()), (raw.len() as u64, raw.len() as u64));
+
+        let (payload, raw_len) = encode_frame_v2(&frame);
+        let mut v2 = Vec::new();
+        write_envelope_v(&mut v2, V2, RESP_FRAME, &payload).unwrap();
+        let env = encode_frame_envelope(&frame, V2);
+        prop_assert_eq!(&env.bytes[..], &v2[..]);
+        prop_assert_eq!((env.raw_len, env.payload_len()), (raw_len, payload.len() as u64));
+    }
 
     #[test]
     fn frame_payloads_roundtrip_bit_identically(frame in arb_frame()) {
