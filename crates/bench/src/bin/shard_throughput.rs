@@ -10,10 +10,14 @@
 //! front-door throughput — on a single box all shards share the same
 //! cores, so expect *parity* across shard counts rather than speedup;
 //! the bench exists to show the router adds no cliff, and to record the
-//! numbers a real multi-host deployment would compare against. As with
-//! `concurrent_clients`, wall times on a small shared box are dominated
-//! by OS scheduling of ~2N threads and can swing 10x run to run;
-//! compare rows within one run, not across machines or runs.
+//! numbers a real multi-host deployment would compare against.
+//!
+//! Timing: every session stamps its own start (after the starting gun)
+//! and end (after its disconnect), and a storm's wall is max(end) −
+//! min(start). Reading the clock on the main thread instead undercounts
+//! badly: with ~N runnable client threads on a few cores, the clients
+//! can finish before the main thread is scheduled again. Each row
+//! reports the median and p10/p90 over the reps, never the best one.
 //!
 //! The herd row is the router's reason to exist: H cold clients all
 //! requesting the same frame of a 2-shard service collapse to exactly
@@ -35,6 +39,7 @@ use accelviz_serve::{
     Client, ClientConfig, RetryPolicy, RouterConfig, ServerConfig, ShardedFrameService,
 };
 use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
@@ -53,7 +58,7 @@ fn scale(smoke: bool) -> Scale {
             frames: 4,
             storm_clients: 16,
             herd_clients: 16,
-            reps: 1,
+            reps: 3,
         }
     } else {
         Scale {
@@ -61,7 +66,7 @@ fn scale(smoke: bool) -> Scale {
             frames: 8,
             storm_clients: 96,
             herd_clients: 64,
-            reps: 3,
+            reps: 7,
         }
     }
 }
@@ -88,36 +93,49 @@ fn service(data: &[PartitionedData], shards: usize) -> ShardedFrameService {
         .expect("spawn sharded service")
 }
 
-/// Runs `n` simultaneous sessions against the router, session `i`
-/// fetching frame `i % frames`; returns wall seconds from the starting
-/// gun to the last disconnect, plus total client retries burned.
-fn storm(service: &ShardedFrameService, n: usize, frames: usize) -> (f64, u64) {
-    let gun = Arc::new(Barrier::new(n + 1));
-    let addr = service.addr();
+/// Runs `n` simultaneous sessions against `addr`, session `i` fetching
+/// frame `i % frames`; returns wall seconds from the first session's
+/// start to the last session's disconnect, each read by the session
+/// itself, plus total client retries burned.
+fn storm(addr: SocketAddr, n: usize, frames: usize, seed: u64) -> (f64, u64) {
+    let gun = Arc::new(Barrier::new(n));
     let clients: Vec<_> = (0..n)
         .map(|i| {
             let gun = Arc::clone(&gun);
             let frame = (i % frames) as u32;
             std::thread::spawn(move || {
                 let config = ClientConfig {
-                    retry: Some(RetryPolicy::fast(3000 + i as u64)),
+                    retry: Some(RetryPolicy::fast(seed + i as u64)),
                     ..ClientConfig::default()
                 };
                 gun.wait();
+                let start = Instant::now();
                 let mut client = Client::connect_with(addr, config).expect("session connect");
                 let (got, _) = client.fetch(frame, f64::INFINITY).expect("session fetch");
                 assert_eq!(got.step, frame as usize);
-                client.client_stats().retries
+                let retries = client.client_stats().retries;
+                drop(client);
+                (start, Instant::now(), retries)
             })
         })
         .collect();
-    gun.wait();
-    let t0 = Instant::now();
-    let mut retries = 0;
-    for handle in clients {
-        retries += handle.join().expect("client session must not panic");
-    }
-    (t0.elapsed().as_secs_f64(), retries)
+    let sessions: Vec<_> = clients
+        .into_iter()
+        .map(|h| h.join().expect("client session must not panic"))
+        .collect();
+    let first = sessions.iter().map(|s| s.0).min().expect("n > 0");
+    let last = sessions.iter().map(|s| s.1).max().expect("n > 0");
+    let retries = sessions.iter().map(|s| s.2).sum();
+    ((last - first).as_secs_f64(), retries)
+}
+
+/// The `q` quantile of `values`, interpolating between order statistics.
+fn quantile(values: &[f64], q: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
 }
 
 fn main() {
@@ -141,21 +159,28 @@ fn main() {
         }
         drop(warm);
 
-        let mut best = f64::INFINITY;
+        let mut rates = Vec::with_capacity(s.reps);
+        let mut walls = Vec::with_capacity(s.reps);
         let mut retries = 0;
         for _ in 0..s.reps {
-            let (wall, r) = storm(&svc, s.storm_clients, s.frames);
-            best = best.min(wall);
+            let (wall, r) = storm(svc.addr(), s.storm_clients, s.frames, 3000);
+            rates.push(s.storm_clients as f64 / wall);
+            walls.push(wall);
             retries += r;
         }
-        let rate = s.storm_clients as f64 / best;
+        let (p10, median, p90) = (
+            quantile(&rates, 0.1),
+            quantile(&rates, 0.5),
+            quantile(&rates, 0.9),
+        );
+        let wall = quantile(&walls, 0.5);
         println!(
-            "shards={shards}  N={:<4} {rate:>9.0} sessions/s  ({best:.3}s wall, {retries} retries)",
+            "shards={shards}  N={:<4} {median:>7.0} sessions/s median (p10 {p10:.0}, p90 {p90:.0}; {wall:.3}s median wall, {retries} retries)",
             s.storm_clients
         );
         rows.push(format!(
-            "    {{\"shards\": {shards}, \"clients\": {}, \"sessions_per_sec\": {rate:.1}, \"wall_s\": {best:.4}, \"retries\": {retries}}}",
-            s.storm_clients
+            "    {{\"shards\": {shards}, \"clients\": {}, \"reps\": {}, \"sessions_per_sec\": {{\"median\": {median:.1}, \"p10\": {p10:.1}, \"p90\": {p90:.1}}}, \"wall_s_median\": {wall:.4}, \"retries\": {retries}}}",
+            s.storm_clients, s.reps
         ));
         svc.shutdown();
     }
@@ -164,28 +189,7 @@ fn main() {
     // must pay exactly one upstream extraction for the whole herd.
     let svc = service(&data, 2);
     let h = s.herd_clients;
-    let gun = Arc::new(Barrier::new(h + 1));
-    let addr = svc.addr();
-    let herd: Vec<_> = (0..h)
-        .map(|i| {
-            let gun = Arc::clone(&gun);
-            std::thread::spawn(move || {
-                let config = ClientConfig {
-                    retry: Some(RetryPolicy::fast(9000 + i as u64)),
-                    ..ClientConfig::default()
-                };
-                gun.wait();
-                let mut client = Client::connect_with(addr, config).expect("herd connect");
-                client.fetch(0, f64::INFINITY).expect("herd fetch");
-            })
-        })
-        .collect();
-    gun.wait();
-    let t0 = Instant::now();
-    for handle in herd {
-        handle.join().expect("herd client must not panic");
-    }
-    let herd_wall = t0.elapsed().as_secs_f64();
+    let (herd_wall, _) = storm(svc.addr(), h, 1, 9000);
     let upstream = svc.router().metrics().counter(CTR_ROUTER_UPSTREAM_FETCHES);
     assert!(upstream >= 1, "the herd must reach at least one shard");
     let collapse = h as f64 / upstream as f64;
@@ -203,7 +207,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"shard_throughput\",\n  \"workload\": {{\"particles\": {}, \"frames\": {}, \"storm_clients\": {}}},\n  \"sessions\": [\n{}\n  ],\n  \"herd\": {{\"clients\": {h}, \"upstream_fetches\": {upstream}, \"collapse_ratio\": {collapse:.1}, \"wall_s\": {herd_wall:.4}}}\n}}\n",
+        "{{\n  \"bench\": \"shard_throughput\",\n  \"cores\": {},\n  \"workload\": {{\"particles\": {}, \"frames\": {}, \"storm_clients\": {}}},\n  \"sessions\": [\n{}\n  ],\n  \"herd\": {{\"clients\": {h}, \"upstream_fetches\": {upstream}, \"collapse_ratio\": {collapse:.1}, \"wall_s\": {herd_wall:.4}}}\n}}\n",
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
         s.particles,
         s.frames,
         s.storm_clients,

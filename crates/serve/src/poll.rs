@@ -1,15 +1,14 @@
-//! Readiness primitives for the event-driven server backend.
+//! Readiness primitives for the connection accept loop.
 //!
-//! This is the `mio`-shaped corner of the crate, hand-rolled because the
-//! workspace vendors everything: a safe wrapper over `poll(2)` (via the
-//! `vendor/libc` shim, the same pattern as the store's mmap), a
-//! self-pipe [`Waker`] so other threads can interrupt a blocked poll
-//! deterministically, and the [`AcceptBackoff`] schedule that keeps an
-//! accept loop from hot-spinning when `accept(2)` itself fails
-//! repeatedly (fd exhaustion being the classic case).
+//! Hand-rolled because the workspace vendors everything: a safe wrapper
+//! over `poll(2)` (via the `vendor/libc` shim, the same pattern as the
+//! store's mmap), a self-pipe [`Waker`] so shutdown can interrupt an
+//! acceptor blocked in poll deterministically, and the [`AcceptBackoff`]
+//! schedule that keeps an accept loop from hot-spinning when `accept(2)`
+//! itself fails repeatedly (fd exhaustion being the classic case).
 //!
-//! Unix-only, like the reactor built on it; on other platforms the
-//! server falls back to the threaded backend.
+//! Unix-only; on other platforms the accept loop blocks in `accept(2)`
+//! and shutdown wakes it with a throwaway connection.
 
 use std::io;
 use std::os::unix::io::RawFd;

@@ -2,9 +2,11 @@
 //!
 //! The paper's remote pipeline pairs one server with one viewer; scaling
 //! one terascale run to many concurrent dashboards means spreading the
-//! frame catalog over N shard servers ([`crate::server::FrameServer`]s,
-//! any backend) and putting a router in front that clients cannot tell
-//! from a single big server:
+//! frame catalog over N shard servers ([`crate::server::FrameServer`]s)
+//! and putting a router in front that clients cannot tell from a single
+//! big server. It takes connections through the same front door as a
+//! server (`crate::front`: accept loop, connection cap answered with
+//! `ERR_BUSY`, session loop, drain) and differs only in what it answers:
 //!
 //! - `Hello` negotiates a protocol version locally, exactly like a
 //!   direct server — the client's session version is independent of the
@@ -41,17 +43,17 @@
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::CacheKey;
 use crate::client::{Client, ClientConfig};
-use crate::error::ServeError;
+use crate::front::{Counters, FrontDoor, Service, Settings};
 use crate::health::{HealthConfig, Prober};
 use crate::lru::LruOrder;
 use crate::protocol::{
-    read_request, write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST,
-    ERR_BAD_THRESHOLD, ERR_INTERNAL, ERR_NO_SUCH_FRAME,
+    negotiate_hello, progressive_gate, reject_frame_request, write_response_v, FrameInfo, Request,
+    Response, ERR_INTERNAL,
 };
 use crate::retry::RetryPolicy;
-use crate::server::{CountGuard, FrameServer, ServerConfig};
+use crate::server::{FrameServer, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::{encode_frame_envelope, V1, V2, VERSION};
+use crate::wire::encode_frame_envelope;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::sorted_store::PartitionedData;
@@ -59,11 +61,10 @@ use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -93,10 +94,9 @@ pub const CTR_ROUTER_UPSTREAM_RETRIES: &str = "router.upstream_retries";
 /// upstream retry policy — each one became an in-band `ERR_INTERNAL`
 /// (for frames) or a zero contribution (for stats aggregation).
 pub const CTR_ROUTER_UPSTREAM_ERRORS: &str = "router.upstream_errors";
-/// Registry counter: connections closed at the router's connection cap.
-/// Unlike the shard servers (which answer `ERR_BUSY` in-band from a
-/// bounded pool), the thin router sheds by closing: the client's retry
-/// classifier sees the reset as transient and backs off the same way.
+/// Registry counter: connections refused at the router's connection cap
+/// (the client got an in-band `ERR_BUSY` with a retry-after hint, exactly
+/// as from a shard server, and the socket was closed).
 pub const CTR_ROUTER_SHED_CONNECTIONS: &str = "router.shed_connections";
 /// Registry counter: `accept(2)` failures on the router listener.
 pub const CTR_ROUTER_ACCEPT_ERRORS: &str = "router.accept_errors";
@@ -301,7 +301,8 @@ pub struct RouterConfig {
     /// Same bound for writes.
     pub write_timeout: Option<Duration>,
     /// Client connections served concurrently; past this, new arrivals
-    /// are counted under `router.shed_connections` and closed.
+    /// are counted under `router.shed_connections`, answered with one
+    /// in-band `ERR_BUSY` and closed.
     pub max_connections: usize,
     /// The resilience knobs for the pooled upstream connections to the
     /// shards — retry/backoff on this leg is what turns a shard blip
@@ -626,7 +627,7 @@ impl UpstreamPool {
     }
 }
 
-/// The state the accept loop and every connection handler share.
+/// The state every connection handler shares.
 struct RouterShared {
     map: ShardMap,
     catalog: Vec<FrameInfo>,
@@ -637,10 +638,21 @@ struct RouterShared {
     cache: FetchCache,
     config: RouterConfig,
     metrics: Registry,
-    shutdown: AtomicBool,
-    active_connections: AtomicUsize,
-    inflight_requests: AtomicUsize,
 }
+
+/// The `router.*` names the front door counts under.
+static ROUTER_COUNTERS: Counters = Counters {
+    requests: CTR_ROUTER_REQUESTS,
+    frames_served: CTR_ROUTER_FRAMES_SERVED,
+    bytes_sent: CTR_ROUTER_BYTES_SENT,
+    latency: HIST_ROUTER_LATENCY,
+    handler_panics: CTR_ROUTER_HANDLER_PANICS,
+    shed_connections: CTR_ROUTER_SHED_CONNECTIONS,
+    accept_errors: CTR_ROUTER_ACCEPT_ERRORS,
+};
+
+/// How long router shutdown waits for in-flight replies.
+const ROUTER_DRAIN: Duration = Duration::from_secs(1);
 
 /// Lands a breaker state transition on the `router.breaker_*` counters.
 fn note_transition(metrics: &Registry, transition: Option<Transition>) {
@@ -703,11 +715,8 @@ fn note_transition(metrics: &Registry, transition: Option<Transition>) {
 /// ```
 pub struct FrameRouter {
     shared: Arc<RouterShared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    front: FrontDoor<RouterShared>,
     prober: Option<Prober>,
-    #[cfg(unix)]
-    waker: Arc<crate::poll::Waker>,
 }
 
 impl FrameRouter {
@@ -756,7 +765,6 @@ impl FrameRouter {
             .collect();
         let catalog = merge_catalogs(&map, &pools)?;
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
             map,
             catalog,
@@ -765,9 +773,6 @@ impl FrameRouter {
             cache: FetchCache::new(config.cache_bytes.max(1)),
             config,
             metrics: Registry::new(),
-            shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
-            inflight_requests: AtomicUsize::new(0),
         });
         let prober = {
             let addrs = Arc::clone(&shared);
@@ -787,35 +792,25 @@ impl FrameRouter {
                 },
             )
         };
-        #[cfg(unix)]
-        {
-            let waker = Arc::new(crate::poll::Waker::new()?);
-            let (s, w) = (Arc::clone(&shared), Arc::clone(&waker));
-            let accept = std::thread::spawn(move || accept_loop(s, listener, w));
-            Ok(FrameRouter {
-                shared,
-                addr: local,
-                accept: Some(accept),
-                prober,
-                waker,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let s = Arc::clone(&shared);
-            let accept = std::thread::spawn(move || blocking_accept_loop(s, listener));
-            Ok(FrameRouter {
-                shared,
-                addr: local,
-                accept: Some(accept),
-                prober,
-            })
-        }
+        let settings = Settings {
+            counters: &ROUTER_COUNTERS,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            max_connections: config.max_connections,
+            drain_timeout: ROUTER_DRAIN,
+            faults: None,
+        };
+        let front = FrontDoor::spawn(listener, Arc::clone(&shared), settings)?;
+        Ok(FrameRouter {
+            shared,
+            front,
+            prober,
+        })
     }
 
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Shards this router routes over.
@@ -864,9 +859,9 @@ impl FrameRouter {
         self.shared.breakers[shard].state()
     }
 
-    /// Stops accepting, joins the accept thread, and drains in-flight
-    /// replies (bounded by one second, mirroring the server's default
-    /// drain).
+    /// Stops probing and accepting, joins the acceptor, and drains
+    /// in-flight replies (bounded by one second, mirroring the server's
+    /// default drain).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -877,22 +872,7 @@ impl FrameRouter {
         if let Some(mut prober) = self.prober.take() {
             prober.shutdown();
         }
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
-        self.waker.wake();
-        #[cfg(not(unix))]
-        {
-            let _ = TcpStream::connect(self.addr);
-        }
-        let _ = accept.join();
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while self.shared.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.front.stop();
     }
 }
 
@@ -948,273 +928,88 @@ fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<Fram
     Ok(merged)
 }
 
-/// The router accept loop: non-blocking listener polled alongside the
-/// shutdown self-pipe, connections past the cap counted and closed.
-#[cfg(unix)]
-fn accept_loop(shared: Arc<RouterShared>, listener: TcpListener, waker: Arc<crate::poll::Waker>) {
-    use crate::poll::{poll, AcceptBackoff, PollEntry};
-    use std::os::unix::io::AsRawFd;
-
-    if listener.set_nonblocking(true).is_err() {
-        return blocking_accept_loop(shared, listener);
+/// The router answers every request the way a direct server of the
+/// unsliced data would, so a client cannot tell the difference.
+impl Service for RouterShared {
+    fn metrics(&self) -> &Registry {
+        &self.metrics
     }
-    let mut backoff = AcceptBackoff::new();
-    let mut cooldown: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let now = Instant::now();
-        let listener_armed = match cooldown {
-            Some(until) if until > now => false,
-            _ => {
-                cooldown = None;
-                true
-            }
-        };
-        let timeout = cooldown.map(|until| until.saturating_duration_since(now));
-        let mut entries = vec![PollEntry {
-            fd: waker.fd(),
-            read: true,
-            write: false,
-        }];
-        if listener_armed {
-            entries.push(PollEntry {
-                fd: listener.as_raw_fd(),
-                read: true,
-                write: false,
-            });
-        }
-        let ready = match poll(&entries, timeout) {
-            Ok(ready) => ready,
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        if ready[0].readable {
-            waker.drain();
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if listener_armed && !ready[1].is_empty() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        backoff.on_success();
-                        let _ = stream.set_nonblocking(false);
-                        admit(&shared, stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        shared.metrics.add(CTR_ROUTER_ACCEPT_ERRORS, 1);
-                        cooldown = Some(Instant::now() + backoff.on_error());
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
 
-/// Blocking fallback (and the whole story on non-unix builds): shutdown
-/// wake relies on the next connection arriving.
-fn blocking_accept_loop(shared: Arc<RouterShared>, listener: TcpListener) {
-    let mut error_pause = Duration::from_millis(1);
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(stream) => {
-                error_pause = Duration::from_millis(1);
-                admit(&shared, stream);
+    fn respond<S: Write>(
+        shared: &Arc<RouterShared>,
+        req: Request,
+        stream: &mut S,
+        session_version: &mut u16,
+    ) -> crate::error::Result<(u64, bool)> {
+        match req {
+            Request::Hello { version } => {
+                let reply = negotiate_hello(version, shared.catalog.len(), session_version);
+                Ok((write_response_v(stream, *session_version, &reply)?, false))
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                shared.metrics.add(CTR_ROUTER_ACCEPT_ERRORS, 1);
-                std::thread::sleep(error_pause);
-                error_pause = (error_pause * 2).min(Duration::from_millis(100));
+            Request::ListFrames => {
+                let frames = shared.catalog.clone();
+                Ok((
+                    write_response_v(stream, *session_version, &Response::FrameList(frames))?,
+                    false,
+                ))
             }
-        }
-    }
-}
-
-/// Admits or sheds one accepted connection. Past the cap the stream is
-/// counted and dropped without spawning anything — a connect flood must
-/// not mint router threads.
-fn admit(shared: &Arc<RouterShared>, stream: TcpStream) {
-    if shared.active_connections.load(Ordering::SeqCst) >= shared.config.max_connections {
-        shared.metrics.add(CTR_ROUTER_SHED_CONNECTIONS, 1);
-        return; // dropping the stream closes it
-    }
-    shared.active_connections.fetch_add(1, Ordering::SeqCst);
-    let conn = Arc::clone(shared);
-    std::thread::spawn(move || {
-        let _guard = CountGuard(&conn.active_connections);
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(conn.config.read_timeout);
-        let _ = stream.set_write_timeout(conn.config.write_timeout);
-        client_loop(&conn, stream);
-    });
-}
-
-/// The per-connection request/reply loop — the same session shape as the
-/// server's `serve_loop`, with the shard hop inside `respond_router`.
-/// Takes the `Arc` (not a plain borrow) because a hedged fetch spawns a
-/// helper thread that must co-own the shared state.
-fn client_loop<S: Read + Write>(shared: &Arc<RouterShared>, mut stream: S) {
-    let mut session_version = V1;
-    loop {
-        let req = match read_request(&mut stream) {
-            Ok(req) => req,
-            Err(ServeError::Truncated { got: 0, .. }) | Err(ServeError::Io(_)) => return,
-            Err(e) => {
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: e.to_string(),
+            Request::RequestFrame { frame, threshold } => {
+                let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
+                    Ok(frame) => frame,
+                    Err(reply_written) => return Ok(reply_written),
                 };
-                let _ = write_response_v(&mut stream, session_version, &reply);
-                return;
+                // Re-encode at the *client's* negotiated version, straight
+                // from the cached Arc — both codecs are deterministic, so the
+                // bytes match what a direct server of the same data writes.
+                let bytes = encode_frame_envelope(&frame, *session_version).write_to(stream)?;
+                Ok((bytes, true))
             }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let t0 = Instant::now();
-        let _inflight = CountGuard({
-            shared.inflight_requests.fetch_add(1, Ordering::SeqCst);
-            &shared.inflight_requests
-        });
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            respond_router(shared, req, &mut stream, &mut session_version)
-        }));
-        let (bytes, served_frame) = match outcome {
-            Ok(Ok(r)) => r,
-            Ok(Err(_)) => return, // client went away mid-reply
-            Err(_panic) => {
-                shared.metrics.add(CTR_ROUTER_HANDLER_PANICS, 1);
-                let reply = Response::Error {
-                    code: ERR_INTERNAL,
-                    message: "internal error routing this request; the connection survives"
-                        .to_string(),
+            Request::RequestFrameProgressive {
+                frame,
+                threshold,
+                chunk_bytes,
+            } => {
+                if let Some(reply) = progressive_gate(*session_version) {
+                    return Ok((write_response_v(stream, *session_version, &reply)?, false));
+                }
+                let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
+                    Ok(frame) => frame,
+                    Err(reply_written) => return Ok(reply_written),
                 };
-                match write_response_v(&mut stream, session_version, &reply) {
-                    Ok(bytes) => (bytes, false),
-                    Err(_) => return,
+                // The upstream hop stays a *full* fetch through the shared
+                // cache (coalescing with plain requests for the same key);
+                // the router re-chunks locally with the same planner the
+                // shards run, which is a pure function of (frame, budget) —
+                // so the record bytes a sharded session sees are identical
+                // to a direct server's.
+                let records =
+                    crate::lod::plan_frame_chunks(&frame, crate::lod::chunk_budget(chunk_bytes));
+                let mut bytes = 0u64;
+                for record in &records {
+                    bytes += crate::protocol::write_chunk(stream, record)?;
                 }
+                shared.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
+                shared
+                    .metrics
+                    .add(CTR_ROUTER_LOD_CHUNKS, records.len() as u64);
+                Ok((bytes, true))
             }
-        };
-        shared.metrics.add(CTR_ROUTER_REQUESTS, 1);
-        shared.metrics.add(CTR_ROUTER_BYTES_SENT, bytes);
-        if served_frame {
-            shared.metrics.add(CTR_ROUTER_FRAMES_SERVED, 1);
-        }
-        shared
-            .metrics
-            .record_seconds(HIST_ROUTER_LATENCY, t0.elapsed().as_secs_f64());
-    }
-}
-
-/// Serves one request at the router; returns (wire bytes written, was a
-/// frame reply). Mirrors the server's `respond` contract so a client
-/// cannot tell the difference.
-fn respond_router<S: Write>(
-    shared: &Arc<RouterShared>,
-    req: Request,
-    stream: &mut S,
-    session_version: &mut u16,
-) -> crate::error::Result<(u64, bool)> {
-    match req {
-        Request::Hello { version } => {
-            let reply = if version == 0 {
-                Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: format!("protocol version must be at least 1, client sent {version}"),
-                }
-            } else {
-                let negotiated = version.min(VERSION);
-                *session_version = negotiated;
-                Response::HelloAck {
-                    version: negotiated,
-                    frame_count: shared.catalog.len() as u32,
-                }
-            };
-            Ok((write_response_v(stream, *session_version, &reply)?, false))
-        }
-        Request::ListFrames => {
-            let frames = shared.catalog.clone();
-            Ok((
-                write_response_v(stream, *session_version, &Response::FrameList(frames))?,
-                false,
-            ))
-        }
-        Request::RequestFrame { frame, threshold } => {
-            let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // Re-encode at the *client's* negotiated version, straight
-            // from the cached Arc — both codecs are deterministic, so the
-            // bytes match what a direct server of the same data writes.
-            let bytes = encode_frame_envelope(&frame, *session_version).write_to(stream)?;
-            Ok((bytes, true))
-        }
-        Request::RequestFrameProgressive {
-            frame,
-            threshold,
-            chunk_bytes,
-        } => {
-            // Same v2-session gate as a direct server: the chunk records
-            // only exist on the v2 wire.
-            if *session_version < V2 {
-                let reply = Response::Error {
-                    code: ERR_BAD_REQUEST,
-                    message: "progressive streaming requires a v2 session; \
-                              send Hello with version >= 2 first"
-                        .to_string(),
-                };
-                return Ok((write_response_v(stream, *session_version, &reply)?, false));
+            Request::Stats => {
+                let snapshot = aggregate_stats(shared);
+                Ok((
+                    write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
+                    false,
+                ))
             }
-            let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                Ok(frame) => frame,
-                Err(reply_written) => return Ok(reply_written),
-            };
-            // The upstream hop stays a *full* fetch through the shared
-            // cache (coalescing with plain requests for the same key);
-            // the router re-chunks locally with the same planner the
-            // shards run, which is a pure function of (frame, budget) —
-            // so the record bytes a sharded session sees are identical
-            // to a direct server's.
-            let records =
-                crate::lod::plan_frame_chunks(&frame, crate::lod::chunk_budget(chunk_bytes));
-            let mut bytes = 0u64;
-            for record in &records {
-                bytes += crate::protocol::write_chunk(stream, record)?;
-            }
-            shared.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
-            shared
-                .metrics
-                .add(CTR_ROUTER_LOD_CHUNKS, records.len() as u64);
-            Ok((bytes, true))
-        }
-        Request::Stats => {
-            let snapshot = aggregate_stats(shared);
-            Ok((
-                write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
-                false,
-            ))
         }
     }
 }
 
-/// The shared routing path behind both frame request kinds: validates
-/// the threshold, locates the frame's replica set, and resolves the
+/// The shared routing path behind both frame request kinds: rejects a
+/// NaN threshold or unknown frame, and resolves the
 /// decoded frame through the router cache (one upstream fetch per
 /// herd). On a policy or upstream failure the in-band error reply is
-/// already written and the inner `Err` carries `respond_router`'s
+/// already written and the inner `Err` carries `respond`'s
 /// return value; the outer `Err` is a dead client connection.
 fn route_frame<S: Write>(
     shared: &Arc<RouterShared>,
@@ -1223,24 +1018,7 @@ fn route_frame<S: Write>(
     stream: &mut S,
     session_version: u16,
 ) -> crate::error::Result<std::result::Result<Arc<HybridFrame>, (u64, bool)>> {
-    if threshold.is_nan() {
-        let reply = Response::Error {
-            code: ERR_BAD_THRESHOLD,
-            message: format!("threshold must not be NaN, got {threshold}"),
-        };
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    if shared.map.replicas(frame).is_none() {
-        let reply = Response::Error {
-            code: ERR_NO_SUCH_FRAME,
-            message: format!(
-                "frame {frame} requested, {} available",
-                shared.catalog.len()
-            ),
-        };
+    if let Some(reply) = reject_frame_request(frame, threshold, shared.catalog.len()) {
         return Ok(Err((
             write_response_v(stream, session_version, &reply)?,
             false,

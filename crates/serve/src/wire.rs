@@ -45,6 +45,11 @@ pub const CHECKSUM_BYTES: u64 = 8;
 /// paper's ~100 MB frames but small enough to reject garbage lengths
 /// before allocating.
 pub const MAX_PAYLOAD: u64 = 1 << 30;
+/// Largest payload a *request* may declare. The biggest request payload
+/// is 20 bytes (a progressive frame request), so a request header
+/// declaring more is hostile or garbled and is rejected from the header
+/// alone, before a byte of payload is allocated or read.
+pub const MAX_REQUEST_PAYLOAD: u64 = 4 << 10;
 
 /// FNV-1a 64-bit hash — the envelope checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -158,9 +163,16 @@ fn read_exact_or_truncated<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads and validates one envelope: magic, version, length bound, and
-/// checksum, in that order.
+/// Reads and validates one envelope: magic, version, length bound
+/// ([`MAX_PAYLOAD`]), and checksum, in that order.
 pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
+    read_envelope_within(r, MAX_PAYLOAD)
+}
+
+/// [`read_envelope`] with a tighter bound on the declared payload
+/// length: a longer declaration is [`ServeError::Corrupt`] before any
+/// payload is allocated or read.
+pub fn read_envelope_within<R: Read>(r: &mut R, max_payload: u64) -> Result<Envelope> {
     let mut header = [0u8; 16];
     read_exact_or_truncated(r, &mut header)?;
 
@@ -174,9 +186,9 @@ pub fn read_envelope<R: Read>(r: &mut R) -> Result<Envelope> {
     }
     let kind = header[6];
     let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    if len > MAX_PAYLOAD {
+    if len > max_payload {
         return Err(ServeError::Corrupt(format!(
-            "declared payload of {len} bytes exceeds the {MAX_PAYLOAD} limit"
+            "declared payload of {len} bytes exceeds the {max_payload} limit"
         )));
     }
 

@@ -1,10 +1,11 @@
-//! Concurrency acceptance for the frame service, run against *both*
-//! connection backends: a 200-client storm must come back bit-identical
-//! with the reactor's OS-thread count bounded by its fixed worker pool,
-//! a connect flood past the connection cap must be answered in-band
-//! without spawning a thread per shed socket, shutdown of an idle server
-//! must complete in bounded time without waiting for a next connection,
-//! and the server-side chaos hook must be survivable on either backend.
+//! Concurrency acceptance for the frame service: a 200-client storm must
+//! come back bit-identical, a capped server's thread count must stay
+//! within its handler cap however many clients connect, a connect flood
+//! past the connection cap must be answered in-band without spawning a
+//! thread per shed socket (on a direct server and on a router alike),
+//! shutdown of an idle server must complete in bounded time without
+//! waiting for a next connection, and the server-side chaos hook must be
+//! survivable.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::octree::builder::{partition, BuildParams};
@@ -12,12 +13,14 @@ use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::fault::{FaultDirection, FaultEvent, FaultKind};
 use accelviz::serve::protocol::{read_response, write_request, Request, Response, ERR_BUSY};
+use accelviz::serve::router::CTR_ROUTER_SHED_CONNECTIONS;
 use accelviz::serve::stats::{CTR_HANDLER_PANICS, CTR_SHED_CONNECTIONS};
 use accelviz::serve::{
-    Client, ClientConfig, FaultPlan, FrameServer, RetryPolicy, ServeBackend, ServerConfig,
+    Client, ClientConfig, FaultPlan, FrameServer, RetryPolicy, RouterConfig, ServerConfig,
+    ShardedFrameService,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -31,11 +34,59 @@ fn stores(n: usize) -> Vec<PartitionedData> {
         .collect()
 }
 
-fn backends() -> Vec<ServeBackend> {
-    if cfg!(unix) {
-        vec![ServeBackend::Threaded, ServeBackend::Reactor]
-    } else {
-        vec![ServeBackend::Threaded]
+/// A front door under test: a direct server, or a router over one shard.
+/// Both take connections through the same accept loop and cap.
+enum Door {
+    Server(FrameServer),
+    Router(ShardedFrameService),
+}
+
+impl Door {
+    fn capped(via_router: bool, data: &[PartitionedData], max_connections: usize) -> Door {
+        if via_router {
+            let router = RouterConfig {
+                max_connections,
+                ..RouterConfig::default()
+            };
+            let service = ShardedFrameService::spawn_loopback(
+                data.to_vec(),
+                1,
+                ServerConfig::default(),
+                router,
+            )
+            .unwrap();
+            Door::Router(service)
+        } else {
+            let config = ServerConfig {
+                max_connections,
+                ..ServerConfig::default()
+            };
+            Door::Server(FrameServer::spawn_loopback(data.to_vec(), config).unwrap())
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Door::Server(server) => server.addr(),
+            Door::Router(service) => service.addr(),
+        }
+    }
+
+    fn shed_connections(&self) -> u64 {
+        match self {
+            Door::Server(server) => server.metrics().counter(CTR_SHED_CONNECTIONS),
+            Door::Router(service) => service
+                .router()
+                .metrics()
+                .counter(CTR_ROUTER_SHED_CONNECTIONS),
+        }
+    }
+
+    fn shutdown(self) {
+        match self {
+            Door::Server(server) => server.shutdown(),
+            Door::Router(service) => service.shutdown(),
+        }
     }
 }
 
@@ -57,119 +108,119 @@ fn snapshot_when_parked(done: &AtomicUsize, target: usize) -> Option<usize> {
     live_threads()
 }
 
-/// Tentpole acceptance: ≥200 simultaneous loopback clients against a
-/// small fixed worker pool, every frame bit-identical to an uncontended
-/// fetch — and, on the reactor, no thread-per-connection anywhere: the
-/// process grows by exactly the client threads the test itself spawned.
+/// ≥200 simultaneous loopback clients, every frame bit-identical to an
+/// uncontended fetch; then the thread bound thread-per-connection gives:
+/// parked connections past the cap cost no threads.
 #[test]
 fn two_hundred_clients_fetch_bit_identical_frames() {
     const CLIENTS: usize = 200;
     let data = stores(2);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            worker_threads: 3,
-            max_connections: 256,
-            ..ServerConfig::default()
-        };
-        let before_server = live_threads();
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
-        assert_eq!(server.backend(), backend);
+    let config = ServerConfig {
+        max_connections: 256,
+        ..ServerConfig::default()
+    };
+    let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
 
-        if backend == ServeBackend::Reactor {
-            if let (Some(before), Some(after)) = (before_server, live_threads()) {
-                // One reactor loop + the fixed pool, nothing else.
-                assert!(
-                    after <= before + config.worker_threads + 2,
-                    "reactor spawned {} threads, want <= pool {} + loop",
-                    after - before,
-                    config.worker_threads
-                );
-            }
-        }
-
-        // The uncontended reference fetch, per frame.
-        let mut reference = Vec::new();
-        let mut probe = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
-        for frame in 0..data.len() as u32 {
-            reference.push(probe.fetch(frame, f64::INFINITY).unwrap().0);
-        }
-        drop(probe);
-
-        let reference = Arc::new(reference);
-        let baseline = live_threads();
-        let parked = Arc::new(AtomicUsize::new(0));
-        let release = Arc::new(Barrier::new(CLIENTS + 1));
-        let addr = server.addr();
-        let workers: Vec<_> = (0..CLIENTS)
-            .map(|i| {
-                let reference = Arc::clone(&reference);
-                let parked = Arc::clone(&parked);
-                let release = Arc::clone(&release);
-                std::thread::spawn(move || {
-                    let mut client = Client::connect_with(addr, ClientConfig::no_retry()).unwrap();
-                    let frame = (i % reference.len()) as u32;
-                    let (got, _) = client.fetch(frame, f64::INFINITY).unwrap();
-                    let identical = got == reference[frame as usize];
-                    // Hold the connection open until everyone is in, so
-                    // the snapshot sees all 200 sessions live at once.
-                    parked.fetch_add(1, Ordering::SeqCst);
-                    release.wait();
-                    identical
-                })
-            })
-            .collect();
-
-        let during = snapshot_when_parked(&parked, CLIENTS);
-        if backend == ServeBackend::Reactor {
-            if let (Some(baseline), Some(during)) = (baseline, during) {
-                // The only growth is the 200 client threads this test
-                // spawned; a thread-per-connection server would add
-                // ~200 more on top.
-                assert!(
-                    during <= baseline + CLIENTS + 4,
-                    "{during} threads during the storm against a baseline of \
-                     {baseline}: the reactor must not spawn per-connection threads"
-                );
-            }
-        }
-        release.wait();
-        for handle in workers {
-            assert!(
-                handle.join().expect("client thread must not panic"),
-                "a storm client saw a frame differing from the reference"
-            );
-        }
-        assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
-        server.shutdown();
+    // The uncontended reference fetch, per frame.
+    let mut reference = Vec::new();
+    let mut probe = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+    for frame in 0..data.len() as u32 {
+        reference.push(probe.fetch(frame, f64::INFINITY).unwrap().0);
     }
+    drop(probe);
+
+    let reference = Arc::new(reference);
+    let parked = Arc::new(AtomicUsize::new(0));
+    let release = Arc::new(Barrier::new(CLIENTS + 1));
+    let addr = server.addr();
+    let workers: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let reference = Arc::clone(&reference);
+            let parked = Arc::clone(&parked);
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                let mut client = Client::connect_with(addr, ClientConfig::no_retry()).unwrap();
+                let frame = (i % reference.len()) as u32;
+                let (got, _) = client.fetch(frame, f64::INFINITY).unwrap();
+                let identical = got == reference[frame as usize];
+                // Hold the connection open until everyone is in, so all
+                // 200 sessions are live at once.
+                parked.fetch_add(1, Ordering::SeqCst);
+                release.wait();
+                identical
+            })
+        })
+        .collect();
+    snapshot_when_parked(&parked, CLIENTS);
+    release.wait();
+    for handle in workers {
+        assert!(
+            handle.join().expect("client thread must not panic"),
+            "a storm client saw a frame differing from the reference"
+        );
+    }
+    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    server.shutdown();
+
+    // The thread bound: 48 parked connections against a cap of 16 grow
+    // the process by at most the 16 handlers, the 2 shed workers and the
+    // acceptor (plus slack), not by one thread per connection.
+    const CAP: usize = 16;
+    const PARKED: usize = 48;
+    let before = live_threads();
+    let capped = FrameServer::spawn_loopback(
+        data,
+        ServerConfig {
+            max_connections: CAP,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let sockets: Vec<TcpStream> = (0..PARKED)
+        .map(|_| TcpStream::connect(capped.addr()).unwrap())
+        .collect();
+    // Every handler is spawned before the first arrival past the cap is
+    // shed, so once all of the excess is counted the handlers exist.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while capped.metrics().counter(CTR_SHED_CONNECTIONS) < (PARKED - CAP) as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "the parked connections were never all accepted"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    if let (Some(before), Some(during)) = (before, live_threads()) {
+        assert!(
+            during <= before + CAP + 2 + 1 + 2,
+            "{PARKED} parked connections against a cap of {CAP} grew the process from \
+             {before} to {during} threads"
+        );
+    }
+    drop(sockets);
+    capped.shutdown();
 }
 
 /// Regression for the shed path: a connect flood past the connection cap
-/// used to spawn one unbounded OS thread per shed socket. Now every shed
-/// arrival is counted and answered in-band (`ERR_BUSY`) or closed
-/// cleanly, and the process thread count during the flood is just the
-/// flood's own threads.
+/// used to spawn one unbounded OS thread per shed socket, and a router
+/// dropped shed sockets without a reply. Now every shed arrival at a
+/// server or a router is counted and answered in-band (`ERR_BUSY`) or
+/// closed cleanly, and the process thread count during the flood is just
+/// the flood's own threads.
 #[test]
 fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
     const FLOOD: usize = 48;
     let data = stores(1);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            max_connections: 1,
-            ..ServerConfig::default()
-        };
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
+    for via_router in [false, true] {
+        let door = Door::capped(via_router, &data, 1);
 
         // Occupy the only slot, and prove it is actually held.
-        let mut admitted = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+        let mut admitted = Client::connect_with(door.addr(), ClientConfig::no_retry()).unwrap();
         admitted.fetch(0, f64::INFINITY).unwrap();
 
         let baseline = live_threads();
         let parked = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(Barrier::new(FLOOD + 1));
-        let addr = server.addr();
+        let addr = door.addr();
         let floods: Vec<_> = (0..FLOOD)
             .map(|_| {
                 let parked = Arc::clone(&parked);
@@ -191,7 +242,8 @@ fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
             assert!(
                 during <= baseline + FLOOD + 4,
                 "{during} threads during a {FLOOD}-connection flood against a \
-                 baseline of {baseline}: shed connections must not each get a thread"
+                 baseline of {baseline}: shed connections must not each get a thread \
+                 (router: {via_router})"
             );
         }
         release.wait();
@@ -204,18 +256,22 @@ fn connect_flood_past_the_cap_is_shed_without_thread_growth() {
             }
         }
         assert_eq!(busy + closed, FLOOD, "every flood socket is accounted for");
-        assert!(busy >= 1, "at least some arrivals get the in-band ERR_BUSY");
+        assert!(
+            busy >= 1,
+            "at least some arrivals get the in-band ERR_BUSY (router: {via_router})"
+        );
         // Counted, not silently dropped — every arrival shows on the shed
         // counter even when the bounded answer queue was full.
         assert_eq!(
-            server.metrics().counter(CTR_SHED_CONNECTIONS),
+            door.shed_connections(),
             FLOOD as u64,
-            "every shed arrival must be counted"
+            "every shed arrival must be counted (router: {via_router})"
         );
 
         // The admitted session never noticed the flood.
         admitted.fetch(0, f64::INFINITY).unwrap();
-        server.shutdown();
+        drop(admitted);
+        door.shutdown();
     }
 }
 
@@ -255,34 +311,27 @@ fn probe_shed_outcome(mut stream: TcpStream) -> ShedOutcome {
 
 /// Regression for the acceptor wake: shutting down an idle server used to
 /// block until `listener.incoming()` happened to yield one more
-/// connection. Both backends must now observe shutdown deterministically.
+/// connection. Shutdown must now be observed deterministically.
 #[test]
 fn idle_server_shutdown_latency_is_bounded() {
-    let data = stores(1);
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        };
-        let server = FrameServer::spawn_loopback(data.clone(), config).unwrap();
-        // Fully idle: nobody connected, nobody will.
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = Instant::now();
-        server.shutdown();
-        let latency = t0.elapsed();
-        assert!(
-            latency < Duration::from_secs(2),
-            "idle {backend:?} shutdown took {latency:?}; the acceptor was not woken"
-        );
-    }
+    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    // Fully idle: nobody connected, nobody will.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    server.shutdown();
+    let latency = t0.elapsed();
+    assert!(
+        latency < Duration::from_secs(2),
+        "idle shutdown took {latency:?}; the acceptor was not woken"
+    );
 }
 
-/// The server-side chaos hook on both backends: a session whose *server*
+/// The server-side chaos hook: a session whose *server*
 /// end suffers scripted delays, reply truncation, and disconnects in both
 /// directions still delivers every frame bit-identical to a fault-free
 /// run, through client retries alone, with zero handler panics.
 #[test]
-fn server_side_chaos_is_survivable_on_both_backends() {
+fn server_side_chaos_is_survivable() {
     let data = stores(3);
 
     // Fault-free reference, served once from a clean server.
@@ -294,59 +343,54 @@ fn server_side_chaos_is_survivable_on_both_backends() {
     drop(probe);
     clean.shutdown();
 
-    for backend in backends() {
-        let config = ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        };
-        // Server-side lanes: Read faults hit requests, Write faults hit
-        // replies. The trio every chaos plan must carry — a delay, a
-        // truncated reply, disconnects both ways — placed inside the
-        // first frame's reply volume so a completed run provably
-        // survived them all.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 64,
-                kind: FaultKind::Delay(Duration::from_millis(5)),
-            },
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 3_000,
-                kind: FaultKind::Truncate,
-            },
-            FaultEvent {
-                direction: FaultDirection::Write,
-                at_byte: 9_000,
-                kind: FaultKind::Disconnect,
-            },
-            FaultEvent {
-                direction: FaultDirection::Read,
-                at_byte: 400,
-                kind: FaultKind::Disconnect,
-            },
-        ]);
-        let script = plan.script();
-        let server = FrameServer::spawn_chaos(data.clone(), config, Arc::clone(&script)).unwrap();
+    let config = ServerConfig::default();
+    // Server-side lanes: Read faults hit requests, Write faults hit
+    // replies. The trio every chaos plan must carry — a delay, a
+    // truncated reply, disconnects both ways — placed inside the
+    // first frame's reply volume so a completed run provably
+    // survived them all.
+    let plan = FaultPlan::new(vec![
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 64,
+            kind: FaultKind::Delay(Duration::from_millis(5)),
+        },
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 3_000,
+            kind: FaultKind::Truncate,
+        },
+        FaultEvent {
+            direction: FaultDirection::Write,
+            at_byte: 9_000,
+            kind: FaultKind::Disconnect,
+        },
+        FaultEvent {
+            direction: FaultDirection::Read,
+            at_byte: 400,
+            kind: FaultKind::Disconnect,
+        },
+    ]);
+    let script = plan.script();
+    let server = FrameServer::spawn_chaos(data.clone(), config, Arc::clone(&script)).unwrap();
 
-        let retry = ClientConfig {
-            retry: Some(RetryPolicy::fast(20_260_807)),
-            ..ClientConfig::default()
-        };
-        let mut client = Client::connect_with(server.addr(), retry).unwrap();
-        for (i, want) in reference.iter().enumerate() {
-            let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
-            assert_eq!(
-                &got, want,
-                "frame {i} over a faulted {backend:?} server differs from clean run"
-            );
-        }
-
-        let fired = script.stats();
-        assert!(fired.delays >= 1, "no delay fired: {fired:?}");
-        assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
-        assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
-        assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
-        server.shutdown();
+    let retry = ClientConfig {
+        retry: Some(RetryPolicy::fast(20_260_807)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(server.addr(), retry).unwrap();
+    for (i, want) in reference.iter().enumerate() {
+        let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+        assert_eq!(
+            &got, want,
+            "frame {i} over a faulted server differs from clean run"
+        );
     }
+
+    let fired = script.stats();
+    assert!(fired.delays >= 1, "no delay fired: {fired:?}");
+    assert!(fired.truncations >= 1, "no truncation fired: {fired:?}");
+    assert!(fired.disconnects >= 1, "no disconnect fired: {fired:?}");
+    assert_eq!(server.metrics().counter(CTR_HANDLER_PANICS), 0);
+    server.shutdown();
 }

@@ -1,15 +1,21 @@
 //! Robustness of the frame service against misbehaving clients: stalled
-//! and byte-dribbling connections must not pin worker threads, and
-//! non-finite thresholds must be rejected in-band without killing the
-//! connection.
+//! and byte-dribbling connections must not pin worker threads, a request
+//! header declaring a huge payload must be refused before anything is
+//! allocated for it, and non-finite thresholds must be rejected in-band
+//! without killing the connection.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
-use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_INTERNAL};
+use accelviz::serve::protocol::{
+    read_response, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_INTERNAL, REQ_FRAME,
+};
 use accelviz::serve::stats::CTR_HANDLER_PANICS;
-use accelviz::serve::{Client, ClientConfig, FrameServer, ServeError, ServerConfig};
+use accelviz::serve::wire::{MAGIC, V1};
+use accelviz::serve::{
+    Client, ClientConfig, FrameServer, RouterConfig, ServeError, ServerConfig, ShardedFrameService,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -87,6 +93,48 @@ fn byte_dribbling_client_cannot_pin_a_worker() {
 
     let client = Client::connect(server.addr()).unwrap();
     assert_eq!(client.frame_count(), 1);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_header_is_refused_in_band_by_server_and_router() {
+    let server = FrameServer::spawn_loopback(stores(1), ServerConfig::default()).unwrap();
+    let service = ShardedFrameService::spawn_loopback(
+        stores(1),
+        1,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    for addr in [server.addr(), service.addr()] {
+        // A lone 16-byte header declaring a 1 GiB frame request. Trusting
+        // it would reserve 1 GiB on the handler thread before the first
+        // payload byte arrives.
+        let mut header = Vec::with_capacity(16);
+        header.extend_from_slice(&MAGIC);
+        header.extend_from_slice(&V1.to_le_bytes());
+        header.extend_from_slice(&[REQ_FRAME, 0]);
+        header.extend_from_slice(&(1u64 << 30).to_le_bytes());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&header).unwrap();
+        match read_response(&mut stream) {
+            Ok((Response::Error { code, message }, _)) => {
+                assert_eq!(code, ERR_BAD_REQUEST, "{addr}: {message}");
+                assert!(message.contains("limit"), "{addr}: {message}");
+            }
+            other => panic!("{addr}: expected in-band ERR_BAD_REQUEST, got {other:?}"),
+        }
+        // Framing is gone, so the connection closes...
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "{addr}: closed");
+        // ...and the listener keeps serving everyone else.
+        let mut second = Client::connect_with(addr, ClientConfig::no_retry()).unwrap();
+        assert_eq!(second.fetch(0, f64::INFINITY).unwrap().0.step, 0);
+    }
+    service.shutdown();
     server.shutdown();
 }
 
