@@ -1,30 +1,39 @@
-//! The server's shared extraction cache.
+//! The coalescing frame cache the server and the router share.
 //!
-//! Extraction is the expensive part of serving a frame request: walking
-//! the density-sorted store and binning the volume. Clients stepping
-//! through the same animation ask for the same `(frame, threshold)` pairs
-//! over and over, so the server keeps the most recent extractions keyed
-//! exactly that way.
+//! Producing a frame is the expensive part of serving a request: the
+//! server walks the density-sorted store and bins the volume, the router
+//! makes an upstream hop to a shard. Clients stepping through the same
+//! animation ask for the same `(frame, threshold)` pairs over and over,
+//! so both keep the most recent frames keyed exactly that way in one
+//! [`FrameCache`].
 //!
 //! Concurrency: the map lock is held only for bookkeeping, never across a
-//! build. A cold key is marked *building* and its extraction runs outside
-//! the lock, so distinct cold keys extract concurrently on their own
-//! connection threads; concurrent requests for the *same* cold key still
-//! coalesce — later arrivals block on that key's condition variable and
-//! count as hits when the first build lands. (The previous design held
-//! one coarse mutex across the build, serializing unrelated extractions.)
+//! build. A cold key is marked *building* and its build runs outside the
+//! lock, so distinct cold keys build concurrently on their own connection
+//! threads; concurrent requests for the *same* cold key coalesce — later
+//! arrivals block on that key's condition variable and share the first
+//! build's outcome.
 //!
-//! Each entry is a [`ServedFrame`]: the extraction plus, per protocol
-//! version, the finished reply envelope, encoded on the first request
-//! at that version and written verbatim on every later hit. The bytes
-//! live inside the entry, so LRU eviction frees them with the frame and
-//! the cache stays bounded by its entry count.
+//! Failure: a build that returns `Err` (a dead shard, a disk error) or
+//! panics vacates its key and hands the error to every coalesced waiter.
+//! Failures are never cached, so the next request for the key builds
+//! again; a panic then resumes unwinding in the builder.
+//!
+//! Capacity is a budget in whatever unit the weight function passed to
+//! [`FrameCache::new`] counts: the server weighs every frame 1 (an entry
+//! count), the router weighs frames by resident bytes.
+//!
+//! Each entry is a [`ServedFrame`]: the frame plus, per protocol version,
+//! the finished reply envelope, encoded on the first request at that
+//! version and written verbatim on every later hit. The bytes live inside
+//! the entry, so LRU eviction frees them with the frame.
 
 use crate::lru::LruOrder;
 use crate::wire::{FrameEnvelope, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 /// Cache key: frame index plus the exact threshold bits. Using `to_bits`
@@ -51,12 +60,12 @@ impl CacheKey {
     }
 }
 
-/// A cached extraction and its reply envelopes, one lazily filled slot
-/// per protocol version. Frames are immutable, so once a slot holds the
+/// A cached frame and its reply envelopes, one lazily filled slot per
+/// protocol version. Frames are immutable, so once a slot holds the
 /// encoded envelope every later request at that version writes the same
 /// bytes without re-encoding.
 pub struct ServedFrame {
-    /// The extracted frame.
+    /// The frame.
     pub frame: HybridFrame,
     /// Slot `v - 1` holds the `RESP_FRAME` envelope for version `v`.
     envelopes: [OnceLock<FrameEnvelope>; VERSION as usize],
@@ -79,11 +88,41 @@ impl ServedFrame {
     }
 }
 
+/// The error every caller sharing a panicked build receives.
+const BUILD_PANICKED: &str = "building this frame panicked";
+
+/// What a build yields to its caller and every coalesced waiter.
+pub type BuildResult = Result<Arc<ServedFrame>, String>;
+
+/// How [`FrameCache::get_or_build`] satisfied a request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// The frame was resident.
+    Hit,
+    /// Joined a build another caller had in flight and shared its
+    /// result, failure included.
+    Coalesced,
+    /// This caller ran the build.
+    Built,
+}
+
+/// What [`FrameCache::probe`] found for a key — enough for the server's
+/// load-shedder to decide whether admitting a request would start a
+/// *new* extraction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// The frame is cached; serving it is cheap.
+    Ready,
+    /// Another thread is building it right now; a request would coalesce.
+    Building,
+    /// Nothing cached or in flight; a request would start a build.
+    Vacant,
+}
+
 /// In-flight build of one key. Waiters block on `cv` until `done` holds
-/// the outcome; `Err(())` means the builder panicked and the key is free
-/// to rebuild.
+/// the shared outcome.
 struct Pending {
-    done: StdMutex<Option<Result<Arc<ServedFrame>, ()>>>,
+    done: StdMutex<Option<BuildResult>>,
     cv: Condvar,
 }
 
@@ -93,152 +132,130 @@ enum Entry {
 }
 
 struct Inner {
-    capacity: usize,
+    budget: u64,
+    /// Summed weight of the `Ready` entries.
+    resident: u64,
     /// LRU order over *ready* keys. Building keys are not listed and
     /// therefore cannot be evicted mid-build.
     order: LruOrder<CacheKey>,
     entries: HashMap<CacheKey, Entry>,
-    hits: u64,
-    misses: u64,
 }
 
-/// What [`ExtractionCache::probe`] found for a key — enough for the
-/// server's load-shedder to decide whether admitting a request would
-/// start a *new* extraction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Probe {
-    /// The extraction is cached; serving it is cheap.
-    Ready,
-    /// Another thread is building it right now; a request would coalesce.
-    Building,
-    /// Nothing cached or in flight; a request would start an extraction.
-    Vacant,
-}
-
-/// An LRU cache of extracted frames (and their encoded replies) shared
-/// by all connection threads.
-pub struct ExtractionCache {
+/// A weighted LRU of served frames with same-key build coalescing,
+/// shared by all connection threads.
+pub struct FrameCache {
     inner: Mutex<Inner>,
+    weigh: fn(&HybridFrame) -> u64,
 }
 
-impl ExtractionCache {
-    /// A cache holding at most `capacity` extractions.
-    pub fn new(capacity: usize) -> ExtractionCache {
-        assert!(capacity > 0, "cache needs at least one slot");
-        ExtractionCache {
+impl FrameCache {
+    /// A cache whose resident frames weigh at most `budget` in total,
+    /// each weighed by `weigh`. A frame heavier than the whole budget is
+    /// still admitted (its coalesced waiters need it) and becomes the
+    /// next eviction victim.
+    pub fn new(budget: u64, weigh: fn(&HybridFrame) -> u64) -> FrameCache {
+        assert!(budget > 0, "cache needs a positive budget");
+        FrameCache {
             inner: Mutex::new(Inner {
-                capacity,
+                budget,
+                resident: 0,
                 order: LruOrder::new(),
                 entries: HashMap::new(),
-                hits: 0,
-                misses: 0,
             }),
+            weigh,
         }
     }
 
-    /// Returns the cached frame for `key`, building it with `build` on a
-    /// miss. The returned flag is `true` on a hit. Concurrent calls with
-    /// the same cold key run `build` once (the rest wait for it and hit);
-    /// calls with distinct cold keys build concurrently.
+    /// Returns the cached frame for `key`, building it with `build` when
+    /// it is neither cached nor already in flight. Concurrent calls with
+    /// the same cold key run `build` once and share its outcome; calls
+    /// with distinct cold keys build concurrently.
     pub fn get_or_build(
         &self,
         key: CacheKey,
-        build: impl FnOnce() -> HybridFrame,
-    ) -> (Arc<ServedFrame>, bool) {
-        let mut build = Some(build);
-        loop {
-            enum Found {
-                Ready(Arc<ServedFrame>),
-                Building(Arc<Pending>),
-                Vacant,
-            }
-            let found = {
-                let mut g = self.inner.lock();
-                let found = match g.entries.get(&key) {
-                    Some(Entry::Ready(frame)) => Found::Ready(Arc::clone(frame)),
-                    Some(Entry::Building(p)) => Found::Building(Arc::clone(p)),
-                    None => Found::Vacant,
-                };
-                match &found {
-                    Found::Ready(_) => {
-                        g.order.touch(key);
-                        g.hits += 1;
-                    }
-                    // Coalesced into the in-flight build: a hit.
-                    Found::Building(_) => g.hits += 1,
-                    Found::Vacant => {
-                        g.misses += 1;
-                        let p = Arc::new(Pending {
-                            done: StdMutex::new(None),
-                            cv: Condvar::new(),
-                        });
-                        g.entries.insert(key, Entry::Building(Arc::clone(&p)));
-                        drop(g);
-                        return self.run_build(key, p, build.take().expect("build consumed once"));
-                    }
+        build: impl FnOnce() -> Result<HybridFrame, String>,
+    ) -> (BuildResult, Outcome) {
+        let pending = {
+            let mut g = self.inner.lock();
+            match g.entries.get(&key) {
+                Some(Entry::Ready(frame)) => {
+                    let frame = Arc::clone(frame);
+                    g.order.touch(key);
+                    return (Ok(frame), Outcome::Hit);
                 }
-                found
-            };
-            let pending = match found {
-                Found::Ready(frame) => return (frame, true),
-                Found::Building(p) => p,
-                Found::Vacant => unreachable!("vacant case returned above"),
-            };
-            // Wait outside every lock for the in-flight build.
-            let mut d = pending.done.lock().unwrap_or_else(|e| e.into_inner());
-            while d.is_none() {
-                d = pending.cv.wait(d).unwrap_or_else(|e| e.into_inner());
+                Some(Entry::Building(p)) => Arc::clone(p),
+                None => {
+                    let p = Arc::new(Pending {
+                        done: StdMutex::new(None),
+                        cv: Condvar::new(),
+                    });
+                    g.entries.insert(key, Entry::Building(Arc::clone(&p)));
+                    drop(g);
+                    return (self.run_build(key, p, build), Outcome::Built);
+                }
             }
-            match d.as_ref().expect("outcome present") {
-                Ok(frame) => return (Arc::clone(frame), true),
-                // The builder panicked; the key was vacated — retry (this
-                // caller may become the new builder).
-                Err(()) => continue,
-            }
+        };
+        // Coalesced: wait outside every lock for the in-flight build.
+        let mut d = pending.done.lock().unwrap_or_else(|e| e.into_inner());
+        while d.is_none() {
+            d = pending.cv.wait(d).unwrap_or_else(|e| e.into_inner());
         }
+        (d.clone().expect("outcome present"), Outcome::Coalesced)
     }
 
     /// Runs `build` for a key this thread just marked as building, then
-    /// publishes the outcome to the map and to any coalesced waiters.
+    /// publishes the outcome to the map (success only) and to every
+    /// coalesced waiter (success or failure).
     fn run_build(
         &self,
         key: CacheKey,
         pending: Arc<Pending>,
-        build: impl FnOnce() -> HybridFrame,
-    ) -> (Arc<ServedFrame>, bool) {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
-            Ok(frame) => {
-                let frame = Arc::new(ServedFrame::new(frame));
-                {
-                    let mut g = self.inner.lock();
-                    while g.order.len() >= g.capacity {
-                        if let Some(victim) = g.order.pop_oldest() {
-                            g.entries.remove(&victim);
+        build: impl FnOnce() -> Result<HybridFrame, String>,
+    ) -> BuildResult {
+        let (outcome, panic) = match catch_unwind(AssertUnwindSafe(build)) {
+            Ok(built) => (built.map(|frame| Arc::new(ServedFrame::new(frame))), None),
+            Err(payload) => (Err(BUILD_PANICKED.to_string()), Some(payload)),
+        };
+        {
+            let mut g = self.inner.lock();
+            match &outcome {
+                Ok(served) => {
+                    // Evict oldest ready frames until the newcomer fits,
+                    // or admit it anyway once nothing is left to evict.
+                    // The newcomer is not in `order` yet, so it never
+                    // evicts itself.
+                    let incoming = (self.weigh)(&served.frame);
+                    while g.resident + incoming > g.budget {
+                        let Some(victim) = g.order.pop_oldest() else {
+                            break;
+                        };
+                        if let Some(Entry::Ready(evicted)) = g.entries.remove(&victim) {
+                            g.resident -= (self.weigh)(&evicted.frame);
                         }
                     }
                     g.order.touch(key);
-                    g.entries.insert(key, Entry::Ready(Arc::clone(&frame)));
+                    g.resident += incoming;
+                    g.entries.insert(key, Entry::Ready(Arc::clone(served)));
                 }
-                *pending.done.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some(Ok(Arc::clone(&frame)));
-                pending.cv.notify_all();
-                (frame, false)
-            }
-            Err(payload) => {
-                // Vacate the key and release the waiters so the cache is
-                // not wedged by a failed extraction.
-                self.inner.lock().entries.remove(&key);
-                *pending.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(Err(()));
-                pending.cv.notify_all();
-                std::panic::resume_unwind(payload)
+                // A failure vacates the key, so the next request builds
+                // again instead of inheriting a stale error.
+                Err(_) => {
+                    g.entries.remove(&key);
+                }
             }
         }
+        *pending.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
+        pending.cv.notify_all();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        outcome
     }
 
     /// A non-admitting peek at `key`: would a request hit, coalesce, or
-    /// start a fresh extraction? Does not touch the LRU order or the
-    /// hit/miss counters — the server's load-shedder calls this to
-    /// decide whether to admit a request *before* committing to build.
+    /// start a fresh build? Does not touch the LRU order — the server's
+    /// load-shedder calls this to decide whether to admit a request
+    /// *before* committing to build.
     pub fn probe(&self, key: &CacheKey) -> Probe {
         match self.inner.lock().entries.get(key) {
             Some(Entry::Ready(_)) => Probe::Ready,
@@ -247,13 +264,7 @@ impl ExtractionCache {
         }
     }
 
-    /// (hits, misses) so far.
-    pub fn counters(&self) -> (u64, u64) {
-        let g = self.inner.lock();
-        (g.hits, g.misses)
-    }
-
-    /// Extractions currently resident (including in-flight builds).
+    /// Frames currently resident (including in-flight builds).
     pub fn len(&self) -> usize {
         self.inner.lock().entries.len()
     }
@@ -281,57 +292,84 @@ mod tests {
         HybridFrame::from_partition(&data, step, f64::INFINITY, [4, 4, 4])
     }
 
+    /// A cache counting entries, as the server runs it.
+    fn counted(capacity: u64) -> FrameCache {
+        FrameCache::new(capacity, |_| 1)
+    }
+
+    /// A cache budgeted by frame bytes, as the router runs it.
+    fn by_bytes(budget: u64) -> FrameCache {
+        FrameCache::new(budget, HybridFrame::total_bytes)
+    }
+
+    /// `get_or_build` for a build that cannot fail.
+    fn get(
+        cache: &FrameCache,
+        key: CacheKey,
+        build: impl FnOnce() -> HybridFrame,
+    ) -> (Arc<ServedFrame>, Outcome) {
+        let (result, outcome) = cache.get_or_build(key, || Ok(build()));
+        (result.expect("build succeeds"), outcome)
+    }
+
     #[test]
     fn second_request_hits_and_shares_the_arc() {
-        let cache = ExtractionCache::new(4);
+        let cache = counted(4);
         let key = CacheKey::new(0, 0.5);
-        let (a, hit_a) = cache.get_or_build(key, || frame(0));
-        let (b, hit_b) = cache.get_or_build(key, || panic!("must not rebuild"));
-        assert!(!hit_a);
-        assert!(hit_b);
+        let (a, first) = get(&cache, key, || frame(0));
+        let (b, second) = get(&cache, key, || panic!("must not rebuild"));
+        assert_eq!(first, Outcome::Built);
+        assert_eq!(second, Outcome::Hit);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.counters(), (1, 1));
     }
 
     #[test]
     fn distinct_thresholds_are_distinct_entries() {
-        let cache = ExtractionCache::new(4);
-        cache.get_or_build(CacheKey::new(0, 0.25), || frame(0));
-        let (_, hit) = cache.get_or_build(CacheKey::new(0, 0.5), || frame(0));
-        assert!(!hit, "a different threshold is a different extraction");
+        let cache = counted(4);
+        get(&cache, CacheKey::new(0, 0.25), || frame(0));
+        let (_, outcome) = get(&cache, CacheKey::new(0, 0.5), || frame(0));
+        assert_eq!(
+            outcome,
+            Outcome::Built,
+            "a different threshold is a different extraction"
+        );
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn negative_zero_threshold_shares_the_positive_zero_slot() {
         assert_eq!(CacheKey::new(3, -0.0), CacheKey::new(3, 0.0));
-        let cache = ExtractionCache::new(4);
-        cache.get_or_build(CacheKey::new(0, 0.0), || frame(0));
-        let (_, hit) = cache.get_or_build(CacheKey::new(0, -0.0), || panic!("same slot"));
-        assert!(hit, "-0.0 and 0.0 request the same extraction");
+        let cache = counted(4);
+        get(&cache, CacheKey::new(0, 0.0), || frame(0));
+        let (_, outcome) = get(&cache, CacheKey::new(0, -0.0), || panic!("same slot"));
+        assert_eq!(
+            outcome,
+            Outcome::Hit,
+            "-0.0 and 0.0 request the same extraction"
+        );
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_evicts_the_oldest_untouched_key() {
-        let cache = ExtractionCache::new(2);
+        let cache = counted(2);
         let (k0, k1, k2) = (
             CacheKey::new(0, 1.0),
             CacheKey::new(1, 1.0),
             CacheKey::new(2, 1.0),
         );
-        cache.get_or_build(k0, || frame(0));
-        cache.get_or_build(k1, || frame(1));
-        cache.get_or_build(k0, || panic!("k0 is resident")); // touch k0
-        cache.get_or_build(k2, || frame(2)); // evicts k1
-        assert!(cache.get_or_build(k0, || panic!("k0 survived")).1);
-        let (_, hit) = cache.get_or_build(k1, || frame(1));
-        assert!(!hit, "k1 was the LRU victim");
+        get(&cache, k0, || frame(0));
+        get(&cache, k1, || frame(1));
+        get(&cache, k0, || panic!("k0 is resident")); // touch k0
+        get(&cache, k2, || frame(2)); // evicts k1
+        assert_eq!(get(&cache, k0, || panic!("k0 survived")).1, Outcome::Hit);
+        let (_, outcome) = get(&cache, k1, || frame(1));
+        assert_eq!(outcome, Outcome::Built, "k1 was the LRU victim");
     }
 
     #[test]
     fn envelopes_encode_once_per_version_until_the_key_is_evicted() {
-        let cache = ExtractionCache::new(1);
+        let cache = counted(1);
         let encodes = AtomicU64::new(0);
         let envelope = |served: &ServedFrame, version: u16| {
             served
@@ -343,11 +381,11 @@ mod tests {
                 .clone()
         };
         let (k0, k1) = (CacheKey::new(0, 1.0), CacheKey::new(1, 1.0));
-        let (a, _) = cache.get_or_build(k0, || frame(0));
+        let (a, _) = get(&cache, k0, || frame(0));
         let (v1, v2) = (envelope(&a, V1), envelope(&a, V2));
         assert_ne!(v1, v2, "each version has its own slot");
-        let (again, hit) = cache.get_or_build(k0, || panic!("k0 is resident"));
-        assert!(hit);
+        let (again, outcome) = get(&cache, k0, || panic!("k0 is resident"));
+        assert_eq!(outcome, Outcome::Hit);
         assert_eq!(
             (envelope(&again, V1), envelope(&again, V2)),
             (v1, v2.clone())
@@ -359,9 +397,9 @@ mod tests {
         );
 
         drop((a, again));
-        cache.get_or_build(k1, || frame(1)); // evicts k0 and its envelopes
-        let (rebuilt, hit) = cache.get_or_build(k0, || frame(0));
-        assert!(!hit);
+        get(&cache, k1, || frame(1)); // evicts k0 and its envelopes
+        let (rebuilt, outcome) = get(&cache, k0, || frame(0));
+        assert_eq!(outcome, Outcome::Built);
         assert_eq!(
             envelope(&rebuilt, V2),
             v2,
@@ -376,7 +414,7 @@ mod tests {
 
     #[test]
     fn same_cold_key_builds_once_across_threads() {
-        let cache = Arc::new(ExtractionCache::new(4));
+        let cache = Arc::new(counted(4));
         let builds = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(4));
         let mut handles = Vec::new();
@@ -388,7 +426,7 @@ mod tests {
             );
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
-                cache.get_or_build(CacheKey::new(0, 0.5), || {
+                get(&cache, CacheKey::new(0, 0.5), || {
                     builds.fetch_add(1, Ordering::SeqCst);
                     // Long enough that the other threads arrive mid-build.
                     std::thread::sleep(Duration::from_millis(50));
@@ -396,10 +434,13 @@ mod tests {
                 })
             }));
         }
-        let results: Vec<(Arc<ServedFrame>, bool)> =
+        let results: Vec<(Arc<ServedFrame>, Outcome)> =
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(builds.load(Ordering::SeqCst), 1, "build ran exactly once");
-        assert_eq!(results.iter().filter(|(_, hit)| !hit).count(), 1);
+        assert_eq!(
+            results.iter().filter(|(_, o)| *o == Outcome::Built).count(),
+            1
+        );
         for (f, _) in &results[1..] {
             assert!(Arc::ptr_eq(&results[0].0, f), "all callers share one Arc");
         }
@@ -407,7 +448,7 @@ mod tests {
 
     #[test]
     fn distinct_cold_keys_build_concurrently() {
-        let cache = Arc::new(ExtractionCache::new(8));
+        let cache = Arc::new(counted(8));
         let barrier = Arc::new(Barrier::new(2));
         let in_build = Arc::new(Barrier::new(2));
         let mut handles = Vec::new();
@@ -419,24 +460,24 @@ mod tests {
             );
             handles.push(std::thread::spawn(move || {
                 barrier.wait();
-                cache.get_or_build(CacheKey::new(i, 1.0), || {
+                get(&cache, CacheKey::new(i, 1.0), || {
                     // Both builders must be inside their builds at the
-                    // same time for this rendezvous to pass; under the
-                    // old whole-build lock it would deadlock.
+                    // same time for this rendezvous to pass; under a
+                    // whole-build lock it would deadlock.
                     in_build.wait();
                     frame(i as usize)
-                });
+                })
+                .1
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            assert_eq!(h.join().unwrap(), Outcome::Built);
         }
-        assert_eq!(cache.counters(), (0, 2));
     }
 
     #[test]
     fn probe_sees_all_three_states_without_admitting() {
-        let cache = Arc::new(ExtractionCache::new(4));
+        let cache = Arc::new(counted(4));
         let key = CacheKey::new(0, 0.5);
         assert_eq!(cache.probe(&key), Probe::Vacant);
 
@@ -444,32 +485,142 @@ mod tests {
         let builder = {
             let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
             std::thread::spawn(move || {
-                cache.get_or_build(key, || {
+                get(&cache, key, || {
                     gate.wait(); // probe happens while we are in here
                     gate.wait();
                     frame(0)
                 })
+                .1
             })
         };
         gate.wait();
         assert_eq!(cache.probe(&key), Probe::Building);
         gate.wait();
-        builder.join().unwrap();
+        // Probing never admitted a build of its own: the one build ran.
+        assert_eq!(builder.join().unwrap(), Outcome::Built);
         assert_eq!(cache.probe(&key), Probe::Ready);
-        // Probing never counted as a hit or a miss beyond the one build.
-        assert_eq!(cache.counters(), (0, 1));
+        assert_eq!(get(&cache, key, || panic!("resident")).1, Outcome::Hit);
     }
 
     #[test]
     fn panicking_build_vacates_the_key_for_retry() {
-        let cache = ExtractionCache::new(4);
+        let cache = counted(4);
         let key = CacheKey::new(0, 0.5);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.get_or_build(key, || panic!("extraction failed"));
+            get(&cache, key, || panic!("extraction failed"));
         }));
         assert!(poisoned.is_err());
         assert_eq!(cache.len(), 0, "failed build must not leave a residue");
-        let (_, hit) = cache.get_or_build(key, || frame(0));
-        assert!(!hit, "key is rebuildable after a failed build");
+        let (_, outcome) = get(&cache, key, || frame(0));
+        assert_eq!(
+            outcome,
+            Outcome::Built,
+            "key is rebuildable after a failed build"
+        );
+    }
+
+    #[test]
+    fn waiter_on_a_panicking_build_gets_an_error_and_the_key_rebuilds() {
+        let cache = Arc::new(counted(4));
+        let key = CacheKey::new(0, 0.5);
+        let gate = Arc::new(Barrier::new(2));
+        let builder = {
+            let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                get(&cache, key, || {
+                    gate.wait(); // the waiter is about to coalesce
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("extraction failed")
+                })
+            })
+        };
+        gate.wait();
+        let (waited, outcome) = cache.get_or_build(key, || panic!("waiter must coalesce"));
+        assert_eq!(outcome, Outcome::Coalesced);
+        assert!(waited.is_err(), "the waiter is released with an error");
+        assert!(builder.join().is_err(), "the builder still unwinds");
+        assert_eq!(get(&cache, key, || frame(0)).1, Outcome::Built);
+    }
+
+    #[test]
+    fn fetch_cache_coalesces_and_shares_failures_without_caching_them() {
+        let cache = Arc::new(by_bytes(1 << 20));
+        let key = CacheKey::new(0, 1.0);
+        let calls = Arc::new(AtomicU64::new(0));
+        let gate = Arc::new(Barrier::new(2));
+
+        // First wave: the fetch fails; a waiter that arrives mid-fetch
+        // shares the failure.
+        let waiter = {
+            let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                gate.wait(); // fetcher is inside its fetch
+                cache
+                    .get_or_build(key, || panic!("waiter must coalesce, not fetch"))
+                    .0
+            })
+        };
+        let (first, _) = cache.get_or_build(key, || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            gate.wait();
+            // Give the waiter time to register on the pending slot.
+            std::thread::sleep(Duration::from_millis(50));
+            Err("shard down".to_string())
+        });
+        assert_eq!(first.err().unwrap(), "shard down");
+        assert_eq!(waiter.join().unwrap().err().unwrap(), "shard down");
+
+        // The failure was not cached: the next call fetches again and a
+        // success is then served from cache.
+        let fetch_calls = Arc::clone(&calls);
+        let (second, _) = cache.get_or_build(key, move || {
+            fetch_calls.fetch_add(1, Ordering::SeqCst);
+            Ok(frame(0))
+        });
+        let second = second.unwrap();
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        let (third, _) = cache.get_or_build(key, || panic!("cached now"));
+        assert!(Arc::ptr_eq(&third.unwrap(), &second));
+    }
+
+    #[test]
+    fn fetch_cache_evicts_lru_by_bytes() {
+        // A budget of exactly two frames: the third insert must evict
+        // the least recently used resident frame.
+        let frame_bytes = frame(0).total_bytes();
+        let cache = by_bytes(2 * frame_bytes);
+        let keys: Vec<CacheKey> = (0..3).map(|f| CacheKey::new(f, 1.0)).collect();
+        for (i, &k) in keys[..2].iter().enumerate() {
+            get(&cache, k, || frame(i));
+        }
+        // Touch key 0 so key 1 is the LRU victim.
+        get(&cache, keys[0], || panic!("resident"));
+        get(&cache, keys[2], || frame(2));
+        get(&cache, keys[0], || panic!("survived"));
+        let mut refetched = false;
+        get(&cache, keys[1], || {
+            refetched = true;
+            frame(1)
+        });
+        assert!(refetched, "key 1 was the LRU victim");
+    }
+
+    #[test]
+    fn fetch_cache_admits_frames_larger_than_the_whole_budget() {
+        let cache = by_bytes(1);
+        let key = CacheKey::new(0, 1.0);
+        let (first, _) = get(&cache, key, || frame(0));
+        // Still resident: the just-inserted frame is never its own
+        // eviction victim, so its coalesced waiters are served.
+        let (again, _) = get(&cache, key, || panic!("resident"));
+        assert!(Arc::ptr_eq(&again, &first));
+        // The next distinct insert evicts it.
+        get(&cache, CacheKey::new(1, 1.0), || frame(1));
+        let mut refetched = false;
+        get(&cache, key, || {
+            refetched = true;
+            frame(0)
+        });
+        assert!(refetched, "the oversized frame was the next victim");
     }
 }

@@ -54,10 +54,8 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// Serves one request; returns (wire bytes written, was a frame
     /// reply). `session_version` is the connection's negotiated protocol
     /// version: `Hello` updates it, and every reply is framed with it.
-    /// Takes the `Arc` because a handler may hand the shared state to
-    /// helper threads (the router's hedged reads do).
     fn respond<S: Write>(
-        this: &Arc<Self>,
+        &self,
         req: Request,
         stream: &mut S,
         session_version: &mut u16,
@@ -455,7 +453,7 @@ fn session<S: Service, T: Read + Write>(door: &Door<S>, mut stream: T) {
         // connection (let alone the listener) down with it. The client
         // gets ERR_INTERNAL and the request/reply loop continues.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            S::respond(&door.service, req, &mut stream, &mut session_version)
+            door.service.respond(req, &mut stream, &mut session_version)
         }));
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,

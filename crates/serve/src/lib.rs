@@ -19,8 +19,9 @@
 //!   coarse-to-fine chunk planner ([`lod::plan_frame_chunks`]) and the
 //!   verifying reassembler ([`lod::ProgressiveAssembler`]), on top of
 //!   the record framing in `accelviz_store::progressive`.
-//! - [`cache`] — the server's shared LRU extraction cache, keyed by
-//!   `(frame, threshold)`.
+//! - [`cache`] — the coalescing LRU frame cache, keyed by
+//!   `(frame, threshold)`, that the server and the router both use:
+//!   weighted by entry on the server and by frame bytes on the router.
 //! - [`server`] — [`server::FrameServer`]: one handler thread per
 //!   admitted connection behind the crate's one front door (accept loop,
 //!   connection cap, session loop, drain), which the router shares.
@@ -36,8 +37,7 @@
 //!   and [`router::FrameRouter`], one AVWF front door over N shard
 //!   servers with rendezvous-hashed (optionally replicated) frame
 //!   ownership, pooled retrying upstream connections, cross-shard herd
-//!   coalescing, replica failover with optional hedged reads, and
-//!   aggregated `Stats`.
+//!   coalescing, replica failover, and aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
 //!   dead shard fast-fails in microseconds instead of burning the retry
 //!   budget per request.
@@ -48,10 +48,10 @@
 //!   reconnect-and-replay resilience.
 //! - [`fault`] — seeded, scheduled fault injection for chaos testing
 //!   (delays, disconnects, truncations, bit flips at byte offsets).
-//! - [`lru`] — the O(log n) recency order shared by the server's
-//!   extraction cache, the client's resident set, and the out-of-core
-//!   run store's residency window (the type now lives in
-//!   `accelviz-store` and is re-exported here unchanged).
+//! - [`lru`] — the O(log n) recency order shared by the frame cache,
+//!   the client's resident set, and the out-of-core run store's
+//!   residency window (the type now lives in `accelviz-store` and is
+//!   re-exported here unchanged).
 //!
 //! The failure model — which faults exist, why replay is idempotent, when
 //! the server sheds, and how the viewer degrades — is written up in
@@ -94,6 +94,6 @@ pub use fault::{FaultDirection, FaultEvent, FaultKind, FaultPlan, FaultScript, F
 pub use health::HealthConfig;
 pub use lru::LruOrder;
 pub use retry::RetryPolicy;
-pub use router::{FrameRouter, HedgeConfig, RouterConfig, ShardMap, ShardedFrameService};
+pub use router::{FrameRouter, RouterConfig, ShardMap, ShardedFrameService};
 pub use server::{FrameServer, ServerConfig};
 pub use stats::ServerStats;

@@ -22,14 +22,13 @@
 //!   private registry ([`FrameRouter::metrics`]) because the `Stats`
 //!   wire shape is frozen.
 //!
-//! Herd coalescing: the router keeps its own small LRU of decoded frames
-//! keyed `(global frame, threshold bits)`, with the same
-//! collapse-identical-requests discipline as the server's extraction
-//! cache — a thundering herd of M clients on one cold frame costs one
-//! upstream fetch (and therefore at most one extraction on the owning
-//! shard). Upstream *failures* are shared with every coalesced waiter
-//! but never cached, so a shard coming back is observed on the very next
-//! request.
+//! Herd coalescing: the router keeps decoded frames keyed `(global
+//! frame, threshold bits)` in the same [`FrameCache`] the server keeps
+//! its extractions in, budgeted by frame bytes — a thundering herd of M
+//! clients on one cold frame costs one upstream fetch (and therefore at
+//! most one extraction on the owning shard). Upstream *failures* are
+//! shared with every coalesced waiter but never cached, so a shard
+//! coming back is observed on the very next request.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): when a
 //! shard dies mid-session the router retries per its upstream policy,
@@ -41,11 +40,10 @@
 //! at a replacement), the same requests simply succeed again.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, FrameCache, Outcome, ServedFrame};
 use crate::client::{Client, ClientConfig};
 use crate::front::{Counters, FrontDoor, Service, Settings};
 use crate::health::{HealthConfig, Prober};
-use crate::lru::LruOrder;
 use crate::protocol::{
     negotiate_hello, progressive_gate, reject_frame_request, write_response_v, FrameInfo, Request,
     Response, ERR_INTERNAL,
@@ -60,11 +58,10 @@ use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Registry counter: requests the router handled, across all clients
@@ -131,15 +128,8 @@ pub const CTR_ROUTER_PROBE_FAIL: &str = "router.probe_fail";
 /// Registry counter: frame fetches ultimately served by a replica other
 /// than the frame's primary owner — the redundancy at work.
 pub const CTR_ROUTER_REPLICA_FAILOVERS: &str = "router.replica_failovers";
-/// Registry counter: fetches where the hedge delay elapsed and a second
-/// replica was raced against the slow primary.
-pub const CTR_ROUTER_HEDGED_REQUESTS: &str = "router.hedged_requests";
-/// Registry counter: hedged fetches where the raced replica answered
-/// first (with the primary still in flight).
-pub const CTR_ROUTER_HEDGED_WINS: &str = "router.hedged_wins";
 /// Registry histogram: one upstream fetch attempt against a shard,
-/// retries included — the distribution the hedge delay quantile is
-/// derived from.
+/// retries included.
 pub const HIST_ROUTER_UPSTREAM_LATENCY: &str = "router.upstream_latency";
 
 /// Where every global frame lives: which shards hold a replica of it
@@ -325,12 +315,6 @@ pub struct RouterConfig {
     /// The background health prober's pacing (zero interval disables
     /// it).
     pub health: HealthConfig,
-    /// Hedged upstream reads: `None` (the default) never hedges;
-    /// `Some` races the next replica when the primary is slower than a
-    /// latency quantile says it should be. Only meaningful with
-    /// replicated shard maps — with one replica per frame there is
-    /// nothing to race.
-    pub hedge: Option<HedgeConfig>,
 }
 
 impl Default for RouterConfig {
@@ -345,196 +329,7 @@ impl Default for RouterConfig {
             upstream_idle: 4,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
-            hedge: None,
         }
-    }
-}
-
-/// When and how aggressively to hedge a slow upstream fetch with a
-/// request to the next replica.
-#[derive(Clone, Copy, Debug)]
-pub struct HedgeConfig {
-    /// The latency quantile of `router.upstream_latency` that sets the
-    /// hedge delay: a primary slower than this is raced. `0.95` hedges
-    /// roughly the slowest 5% of fetches.
-    pub quantile: f64,
-    /// Floor on the derived delay — hedging below this would duplicate
-    /// upstream work on healthy fetch jitter.
-    pub min_delay: Duration,
-    /// Ceiling on the derived delay, and the delay used while the
-    /// latency histogram is still empty (or the quantile lands in its
-    /// unbounded overflow bucket).
-    pub max_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            quantile: 0.95,
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_secs(2),
-        }
-    }
-}
-
-impl HedgeConfig {
-    /// The hedge delay derived from the observed upstream latency
-    /// distribution, clamped to `[min_delay, max_delay]`.
-    fn delay_from(&self, metrics: &Registry) -> Duration {
-        metrics
-            .histogram(HIST_ROUTER_UPSTREAM_LATENCY)
-            .and_then(|h| h.quantile_upper_bound(self.quantile))
-            .map(Duration::from_secs_f64)
-            .unwrap_or(self.max_delay)
-            .clamp(self.min_delay, self.max_delay)
-    }
-}
-
-/// How a router frame fetch was satisfied.
-enum FetchOutcome {
-    /// Already decoded and resident in the router cache.
-    Hit,
-    /// Joined an upstream fetch another request had in flight.
-    Coalesced,
-    /// Went upstream (and the result, success or failure, was shared
-    /// with any waiters that arrived meanwhile).
-    Fetched,
-}
-
-/// In-flight upstream fetch of one key. Waiters block on `cv` until
-/// `done` holds the shared outcome; unlike the extraction cache's
-/// pending slot this carries a `Result`, because an upstream fetch can
-/// *fail* (dead shard) and that failure must be delivered to every
-/// coalesced waiter — never panicked across threads, never cached.
-struct FetchPending {
-    done: StdMutex<Option<Result<Arc<HybridFrame>, String>>>,
-    cv: Condvar,
-}
-
-enum FetchEntry {
-    Ready(Arc<HybridFrame>),
-    Fetching(Arc<FetchPending>),
-}
-
-struct FetchInner {
-    /// Byte budget over resident decoded frames
-    /// ([`HybridFrame::total_bytes`] each).
-    budget: u64,
-    /// Bytes currently resident under `Ready` entries.
-    resident_bytes: u64,
-    /// LRU over *ready* keys only; in-flight fetches cannot be evicted.
-    order: LruOrder<CacheKey>,
-    entries: HashMap<CacheKey, FetchEntry>,
-}
-
-/// The router's frame cache: LRU over decoded frames plus the
-/// same-key coalescing that collapses a thundering herd into one
-/// upstream fetch. Failures are shared with waiters but vacated, not
-/// cached — the next request after a shard recovers goes upstream.
-///
-/// Capacity is a *byte* budget, not an entry count: frames vary by
-/// orders of magnitude with threshold and grid dims, so an entry count
-/// either wastes the budget on small frames or blows it on large ones.
-/// A frame larger than the whole budget is still admitted (and becomes
-/// the next eviction victim) — the just-fetched frame must be resident
-/// to serve its coalesced waiters.
-struct FetchCache {
-    inner: Mutex<FetchInner>,
-}
-
-impl FetchCache {
-    fn new(budget: u64) -> FetchCache {
-        assert!(budget > 0, "router cache needs a positive byte budget");
-        FetchCache {
-            inner: Mutex::new(FetchInner {
-                budget,
-                resident_bytes: 0,
-                order: LruOrder::new(),
-                entries: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Returns the frame for `key`, fetching it with `fetch` when it is
-    /// neither cached nor already in flight. Concurrent calls with the
-    /// same key run `fetch` once and share its outcome.
-    fn get_or_fetch(
-        &self,
-        key: CacheKey,
-        fetch: impl FnOnce() -> Result<Arc<HybridFrame>, String>,
-    ) -> (Result<Arc<HybridFrame>, String>, FetchOutcome) {
-        let pending = {
-            let mut g = self.inner.lock();
-            match g.entries.get(&key) {
-                Some(FetchEntry::Ready(frame)) => {
-                    let frame = Arc::clone(frame);
-                    g.order.touch(key);
-                    return (Ok(frame), FetchOutcome::Hit);
-                }
-                Some(FetchEntry::Fetching(p)) => Arc::clone(p),
-                None => {
-                    let p = Arc::new(FetchPending {
-                        done: StdMutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    g.entries.insert(key, FetchEntry::Fetching(Arc::clone(&p)));
-                    drop(g);
-                    return (self.run_fetch(key, p, fetch), FetchOutcome::Fetched);
-                }
-            }
-        };
-        // Coalesced: wait outside every lock for the in-flight fetch and
-        // share its outcome, failure included.
-        let mut d = pending.done.lock().unwrap_or_else(|e| e.into_inner());
-        while d.is_none() {
-            d = pending.cv.wait(d).unwrap_or_else(|e| e.into_inner());
-        }
-        let outcome = d.clone().expect("outcome present");
-        (outcome, FetchOutcome::Coalesced)
-    }
-
-    /// Runs `fetch` for a key this thread just marked in flight, then
-    /// publishes the outcome to the map (success only) and to every
-    /// coalesced waiter (success or failure).
-    fn run_fetch(
-        &self,
-        key: CacheKey,
-        pending: Arc<FetchPending>,
-        fetch: impl FnOnce() -> Result<Arc<HybridFrame>, String>,
-    ) -> Result<Arc<HybridFrame>, String> {
-        let outcome = fetch();
-        {
-            let mut g = self.inner.lock();
-            match &outcome {
-                Ok(frame) => {
-                    // Make room by bytes: evict oldest Ready frames
-                    // until the newcomer fits (or nothing is left to
-                    // evict — an oversized frame is admitted anyway and
-                    // is simply the next victim). The newcomer is not
-                    // in `order` yet, so it can never evict itself.
-                    let incoming = frame.total_bytes();
-                    while g.resident_bytes + incoming > g.budget {
-                        let Some(victim) = g.order.pop_oldest() else {
-                            break;
-                        };
-                        if let Some(FetchEntry::Ready(evicted)) = g.entries.remove(&victim) {
-                            g.resident_bytes -= evicted.total_bytes();
-                        }
-                    }
-                    g.order.touch(key);
-                    g.resident_bytes += incoming;
-                    g.entries.insert(key, FetchEntry::Ready(Arc::clone(frame)));
-                }
-                // A failed fetch vacates the key so recovery is observed
-                // on the very next request.
-                Err(_) => {
-                    g.entries.remove(&key);
-                }
-            }
-        }
-        *pending.done.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome.clone());
-        pending.cv.notify_all();
-        outcome
     }
 }
 
@@ -635,8 +430,7 @@ struct RouterShared {
     /// One circuit breaker per shard, fed by upstream fetches, stats
     /// hops, and the background prober alike.
     breakers: Vec<CircuitBreaker>,
-    cache: FetchCache,
-    config: RouterConfig,
+    cache: FrameCache,
     metrics: Registry,
 }
 
@@ -770,8 +564,7 @@ impl FrameRouter {
             catalog,
             pools,
             breakers,
-            cache: FetchCache::new(config.cache_bytes.max(1)),
-            config,
+            cache: FrameCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes),
             metrics: Registry::new(),
         });
         let prober = {
@@ -936,33 +729,36 @@ impl Service for RouterShared {
     }
 
     fn respond<S: Write>(
-        shared: &Arc<RouterShared>,
+        &self,
         req: Request,
         stream: &mut S,
         session_version: &mut u16,
     ) -> crate::error::Result<(u64, bool)> {
         match req {
             Request::Hello { version } => {
-                let reply = negotiate_hello(version, shared.catalog.len(), session_version);
+                let reply = negotiate_hello(version, self.catalog.len(), session_version);
                 Ok((write_response_v(stream, *session_version, &reply)?, false))
             }
             Request::ListFrames => {
-                let frames = shared.catalog.clone();
+                let frames = self.catalog.clone();
                 Ok((
                     write_response_v(stream, *session_version, &Response::FrameList(frames))?,
                     false,
                 ))
             }
             Request::RequestFrame { frame, threshold } => {
-                let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                    Ok(frame) => frame,
+                let served = match route_frame(self, frame, threshold, stream, *session_version)? {
+                    Ok(served) => served,
                     Err(reply_written) => return Ok(reply_written),
                 };
-                // Re-encode at the *client's* negotiated version, straight
-                // from the cached Arc — both codecs are deterministic, so the
-                // bytes match what a direct server of the same data writes.
-                let bytes = encode_frame_envelope(&frame, *session_version).write_to(stream)?;
-                Ok((bytes, true))
+                // Encode at the *client's* negotiated version once per cache
+                // entry, then write the stored bytes on every hit — both
+                // codecs are deterministic, so the bytes match what a direct
+                // server of the same data writes.
+                let envelope = served
+                    .envelope(*session_version)
+                    .get_or_init(|| encode_frame_envelope(&served.frame, *session_version));
+                Ok((envelope.write_to(stream)?, true))
             }
             Request::RequestFrameProgressive {
                 frame,
@@ -972,8 +768,8 @@ impl Service for RouterShared {
                 if let Some(reply) = progressive_gate(*session_version) {
                     return Ok((write_response_v(stream, *session_version, &reply)?, false));
                 }
-                let frame = match route_frame(shared, frame, threshold, stream, *session_version)? {
-                    Ok(frame) => frame,
+                let served = match route_frame(self, frame, threshold, stream, *session_version)? {
+                    Ok(served) => served,
                     Err(reply_written) => return Ok(reply_written),
                 };
                 // The upstream hop stays a *full* fetch through the shared
@@ -982,20 +778,21 @@ impl Service for RouterShared {
                 // shards run, which is a pure function of (frame, budget) —
                 // so the record bytes a sharded session sees are identical
                 // to a direct server's.
-                let records =
-                    crate::lod::plan_frame_chunks(&frame, crate::lod::chunk_budget(chunk_bytes));
+                let records = crate::lod::plan_frame_chunks(
+                    &served.frame,
+                    crate::lod::chunk_budget(chunk_bytes),
+                );
                 let mut bytes = 0u64;
                 for record in &records {
                     bytes += crate::protocol::write_chunk(stream, record)?;
                 }
-                shared.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
-                shared
-                    .metrics
+                self.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
+                self.metrics
                     .add(CTR_ROUTER_LOD_CHUNKS, records.len() as u64);
                 Ok((bytes, true))
             }
             Request::Stats => {
-                let snapshot = aggregate_stats(shared);
+                let snapshot = aggregate_stats(self);
                 Ok((
                     write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
                     false,
@@ -1006,43 +803,43 @@ impl Service for RouterShared {
 }
 
 /// The shared routing path behind both frame request kinds: rejects a
-/// NaN threshold or unknown frame, and resolves the
-/// decoded frame through the router cache (one upstream fetch per
-/// herd). On a policy or upstream failure the in-band error reply is
-/// already written and the inner `Err` carries `respond`'s
-/// return value; the outer `Err` is a dead client connection.
+/// NaN threshold or unknown frame, and resolves the frame through the
+/// router cache (one upstream fetch per herd). On a policy or upstream
+/// failure the in-band error reply is already written and the inner
+/// `Err` carries `respond`'s return value; the outer `Err` is a dead
+/// client connection.
 fn route_frame<S: Write>(
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     frame: u32,
     threshold: f64,
     stream: &mut S,
     session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<HybridFrame>, (u64, bool)>> {
+) -> crate::error::Result<std::result::Result<Arc<ServedFrame>, (u64, bool)>> {
     if let Some(reply) = reject_frame_request(frame, threshold, shared.catalog.len()) {
         return Ok(Err((
             write_response_v(stream, session_version, &reply)?,
             false,
         )));
     }
-    let key = CacheKey::new(frame, threshold);
-    let global = frame as usize;
     let (result, outcome) = shared
         .cache
-        .get_or_fetch(key, || fetch_replicated(shared, frame, global, threshold));
+        .get_or_build(CacheKey::new(frame, threshold), || {
+            fetch_replicated(shared, frame, threshold)
+        });
     match outcome {
-        FetchOutcome::Hit => {
+        Outcome::Hit => {
             shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
         }
-        FetchOutcome::Coalesced => {
+        Outcome::Coalesced => {
             shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
             shared.metrics.add(CTR_ROUTER_COALESCED, 1);
         }
-        FetchOutcome::Fetched => {
+        Outcome::Built => {
             shared.metrics.add(CTR_ROUTER_CACHE_MISSES, 1);
         }
     }
     match result {
-        Ok(frame) => Ok(Ok(frame)),
+        Ok(served) => Ok(Ok(served)),
         Err(why) => {
             // Upstream retries exhausted: degrade this frame
             // in-band, keep the session. A resilient client turns
@@ -1069,9 +866,9 @@ fn attempt_fetch(
     shared: &RouterShared,
     shard: usize,
     local: u32,
-    global: usize,
+    global: u32,
     threshold: f64,
-) -> Result<Arc<HybridFrame>, String> {
+) -> Result<HybridFrame, String> {
     shared.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
     let t0 = Instant::now();
     let result = shared.pools[shard].with(|c| c.fetch(local, threshold));
@@ -1082,8 +879,8 @@ fn attempt_fetch(
         Ok(((mut frame, _metrics), retries)) => {
             shared.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
             note_transition(&shared.metrics, shared.breakers[shard].on_success());
-            frame.step = global;
-            Ok(Arc::new(frame))
+            frame.step = global as usize;
+            Ok(frame)
         }
         Err(e) => {
             shared.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
@@ -1095,72 +892,45 @@ fn attempt_fetch(
     }
 }
 
-/// Advances `cursor` to the next replica whose breaker admits an
-/// attempt, counting fast-fails along the way. Returns the replica's
-/// position in the preference list plus its `(shard, local)` target, or
-/// `None` when every remaining replica fast-failed. Admission is lazy —
-/// a half-open trial slot is only claimed when the fetch is actually
-/// about to use it.
-fn next_candidate(
-    shared: &RouterShared,
-    replicas: &[(u32, u32)],
-    cursor: &mut usize,
-) -> Option<(usize, usize, u32)> {
-    while *cursor < replicas.len() {
-        let idx = *cursor;
-        *cursor += 1;
-        let (shard, local) = (replicas[idx].0 as usize, replicas[idx].1);
-        let (admission, transition) = shared.breakers[shard].admit();
-        note_transition(&shared.metrics, transition);
-        match admission {
-            Admission::FastFail => {
-                shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
-            }
-            Admission::Allow | Admission::Trial => return Some((idx, shard, local)),
-        }
+/// Whether shard `shard`'s breaker admits an upstream operation, landing
+/// its state transition and any fast-fail on the `router.*` counters.
+/// Admission is lazy — a half-open trial slot is only claimed when the
+/// caller is actually about to use it.
+fn admitted(shared: &RouterShared, shard: usize) -> bool {
+    let (admission, transition) = shared.breakers[shard].admit();
+    note_transition(&shared.metrics, transition);
+    if admission == Admission::FastFail {
+        shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
+        return false;
     }
-    None
+    true
 }
 
 /// One logical frame fetch, resolved across the frame's replica set:
 /// walk the preference order, skip replicas whose breaker fast-fails
-/// (microseconds each), attempt the rest in turn — optionally hedged —
-/// and stop at the first success. Only when every replica has either
-/// fast-failed or genuinely failed does the fetch fail, which the
-/// caller turns into the in-band `ERR_INTERNAL` degraded path; with
-/// replication ≥ 2 a single dead shard therefore costs zero degraded
-/// frames.
+/// (microseconds each), attempt the rest in turn, and stop at the first
+/// success. Only when every replica has either fast-failed or genuinely
+/// failed does the fetch fail, which the caller turns into the in-band
+/// `ERR_INTERNAL` degraded path; with replication ≥ 2 a single dead
+/// shard therefore costs zero degraded frames.
 fn fetch_replicated(
-    shared: &Arc<RouterShared>,
+    shared: &RouterShared,
     frame: u32,
-    global: usize,
     threshold: f64,
-) -> Result<Arc<HybridFrame>, String> {
+) -> Result<HybridFrame, String> {
     let replicas = shared
         .map
         .replicas(frame)
-        .expect("caller checked the frame exists")
-        .to_vec();
-    let mut cursor = 0usize;
+        .expect("caller checked the frame exists");
     let mut last_err: Option<String> = None;
-    while let Some((idx, shard, local)) = next_candidate(shared, &replicas, &mut cursor) {
-        let outcome = match shared.config.hedge {
-            Some(hedge) => hedged_attempt(
-                shared,
-                &replicas,
-                &mut cursor,
-                idx,
-                shard,
-                local,
-                global,
-                threshold,
-                hedge,
-            ),
-            None => attempt_fetch(shared, shard, local, global, threshold).map(|f| (f, idx)),
-        };
-        match outcome {
-            Ok((decoded, served_idx)) => {
-                if served_idx > 0 {
+    for (idx, &(shard, local)) in replicas.iter().enumerate() {
+        let shard = shard as usize;
+        if !admitted(shared, shard) {
+            continue;
+        }
+        match attempt_fetch(shared, shard, local, frame, threshold) {
+            Ok(decoded) => {
+                if idx > 0 {
                     shared.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
                 }
                 return Ok(decoded);
@@ -1170,77 +940,11 @@ fn fetch_replicated(
     }
     Err(last_err.unwrap_or_else(|| {
         format!(
-            "every replica's circuit breaker is open for frame {global} \
+            "every replica's circuit breaker is open for frame {frame} \
              ({} replicas)",
             replicas.len()
         )
     }))
-}
-
-/// One fetch attempt with a hedge: the primary runs on a helper thread;
-/// if it has not answered within the quantile-derived hedge delay, the
-/// next admissible replica is raced against it and the first genuine
-/// reply wins. The loser is not cancelled — it finishes on its thread
-/// and reports its own outcome to its breaker and counters, it just
-/// cannot win. Returns the frame plus the preference index of the
-/// replica that served it.
-#[allow(clippy::too_many_arguments)]
-fn hedged_attempt(
-    shared: &Arc<RouterShared>,
-    replicas: &[(u32, u32)],
-    cursor: &mut usize,
-    primary_idx: usize,
-    shard: usize,
-    local: u32,
-    global: usize,
-    threshold: f64,
-    hedge: HedgeConfig,
-) -> Result<(Arc<HybridFrame>, usize), String> {
-    use std::sync::mpsc;
-    let (tx, rx) = mpsc::channel();
-    let spawn_attempt = |idx: usize, shard: usize, local: u32| {
-        let s = Arc::clone(shared);
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let outcome = attempt_fetch(&s, shard, local, global, threshold);
-            // A send after the winner returned just goes nowhere.
-            let _ = tx.send((idx, outcome));
-        });
-    };
-    let delay = hedge.delay_from(&shared.metrics);
-    spawn_attempt(primary_idx, shard, local);
-    let mut in_flight = 1usize;
-    let mut hedge_launched = false;
-    let mut last_err: Option<String> = None;
-    while in_flight > 0 {
-        let (idx, outcome) = if hedge_launched {
-            rx.recv().expect("tx is owned by this frame until return")
-        } else {
-            match rx.recv_timeout(delay) {
-                Ok(msg) => msg,
-                Err(_slow_primary) => {
-                    hedge_launched = true;
-                    if let Some((idx2, shard2, local2)) = next_candidate(shared, replicas, cursor) {
-                        shared.metrics.add(CTR_ROUTER_HEDGED_REQUESTS, 1);
-                        spawn_attempt(idx2, shard2, local2);
-                        in_flight += 1;
-                    }
-                    continue;
-                }
-            }
-        };
-        in_flight -= 1;
-        match outcome {
-            Ok(frame) => {
-                if idx != primary_idx && in_flight > 0 {
-                    shared.metrics.add(CTR_ROUTER_HEDGED_WINS, 1);
-                }
-                return Ok((frame, idx));
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(last_err.expect("at least the primary attempt completed"))
 }
 
 /// Sums every reachable shard's `Stats` snapshot into one wire-shaped
@@ -1254,10 +958,7 @@ fn hedged_attempt(
 fn aggregate_stats(shared: &RouterShared) -> ServerStats {
     let mut total = ServerStats::default();
     for (shard, pool) in shared.pools.iter().enumerate() {
-        let (admission, transition) = shared.breakers[shard].admit();
-        note_transition(&shared.metrics, transition);
-        if admission == Admission::FastFail {
-            shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
+        if !admitted(shared, shard) {
             continue;
         }
         match pool.with(|c| c.stats()) {
@@ -1557,20 +1258,6 @@ fn spawn_shard(source: &ShardSource, config: ServerConfig) -> io::Result<FrameSe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelviz_beam::distribution::Distribution;
-    use accelviz_octree::builder::{partition, BuildParams};
-    use accelviz_octree::plots::PlotType;
-
-    fn tiny_frame(step: usize) -> Arc<HybridFrame> {
-        let ps = Distribution::default_beam().sample(100, step as u64 + 1);
-        let data = partition(&ps, PlotType::XYZ, BuildParams::default());
-        Arc::new(HybridFrame::from_partition(
-            &data,
-            step,
-            f64::INFINITY,
-            [2, 2, 2],
-        ))
-    }
 
     #[test]
     fn sliced_map_ranks_local_indices_per_shard() {
@@ -1598,111 +1285,5 @@ mod tests {
             assert_eq!(local, g);
         }
         assert!(map.locate(10).is_none());
-    }
-
-    #[test]
-    fn fetch_cache_coalesces_and_shares_failures_without_caching_them() {
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Barrier;
-
-        let cache = Arc::new(FetchCache::new(1 << 20));
-        let key = CacheKey::new(0, 1.0);
-        let calls = Arc::new(AtomicU64::new(0));
-        let gate = Arc::new(Barrier::new(2));
-
-        // First wave: the fetch fails; a waiter that arrives mid-fetch
-        // shares the failure.
-        let waiter = {
-            let (cache, gate) = (Arc::clone(&cache), Arc::clone(&gate));
-            std::thread::spawn(move || {
-                gate.wait(); // fetcher is inside its fetch
-                cache
-                    .get_or_fetch(key, || panic!("waiter must coalesce, not fetch"))
-                    .0
-            })
-        };
-        let (first, _) = cache.get_or_fetch(key, || {
-            calls.fetch_add(1, Ordering::SeqCst);
-            gate.wait();
-            // Give the waiter time to register on the pending slot.
-            std::thread::sleep(Duration::from_millis(50));
-            Err("shard down".to_string())
-        });
-        assert_eq!(first.unwrap_err(), "shard down");
-        assert_eq!(waiter.join().unwrap().unwrap_err(), "shard down");
-
-        // The failure was not cached: the next call fetches again and a
-        // success is then served from cache.
-        let frame = tiny_frame(0);
-        let served = Arc::clone(&frame);
-        let fetch_calls = Arc::clone(&calls);
-        let (second, _) = cache.get_or_fetch(key, move || {
-            fetch_calls.fetch_add(1, Ordering::SeqCst);
-            Ok(served)
-        });
-        assert!(Arc::ptr_eq(&second.unwrap(), &frame));
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        let (third, _) = cache.get_or_fetch(key, || panic!("cached now"));
-        assert!(Arc::ptr_eq(&third.unwrap(), &frame));
-    }
-
-    #[test]
-    fn fetch_cache_evicts_lru_by_bytes() {
-        // A budget of exactly two frames: the third insert must evict
-        // the least recently used resident frame.
-        let frame_bytes = tiny_frame(0).total_bytes();
-        let cache = FetchCache::new(2 * frame_bytes);
-        let keys: Vec<CacheKey> = (0..3).map(|f| CacheKey::new(f, 1.0)).collect();
-        for (i, &k) in keys[..2].iter().enumerate() {
-            let (r, _) = cache.get_or_fetch(k, || Ok(tiny_frame(i)));
-            r.unwrap();
-        }
-        // Touch key 0 so key 1 is the LRU victim.
-        cache
-            .get_or_fetch(keys[0], || panic!("resident"))
-            .0
-            .unwrap();
-        cache.get_or_fetch(keys[2], || Ok(tiny_frame(2))).0.unwrap();
-        cache
-            .get_or_fetch(keys[0], || panic!("survived"))
-            .0
-            .unwrap();
-        let mut refetched = false;
-        cache
-            .get_or_fetch(keys[1], || {
-                refetched = true;
-                Ok(tiny_frame(1))
-            })
-            .0
-            .unwrap();
-        assert!(refetched, "key 1 was the LRU victim");
-    }
-
-    #[test]
-    fn fetch_cache_admits_frames_larger_than_the_whole_budget() {
-        let cache = FetchCache::new(1);
-        let key = CacheKey::new(0, 1.0);
-        let frame = tiny_frame(0);
-        let served = Arc::clone(&frame);
-        let (r, _) = cache.get_or_fetch(key, move || Ok(served));
-        assert!(Arc::ptr_eq(&r.unwrap(), &frame));
-        // Still resident: the just-inserted frame is never its own
-        // eviction victim, so its coalesced waiters are served.
-        let (again, _) = cache.get_or_fetch(key, || panic!("resident"));
-        assert!(Arc::ptr_eq(&again.unwrap(), &frame));
-        // The next distinct insert evicts it.
-        cache
-            .get_or_fetch(CacheKey::new(1, 1.0), || Ok(tiny_frame(1)))
-            .0
-            .unwrap();
-        let mut refetched = false;
-        cache
-            .get_or_fetch(key, || {
-                refetched = true;
-                Ok(tiny_frame(0))
-            })
-            .0
-            .unwrap();
-        assert!(refetched, "the oversized frame was the next victim");
     }
 }

@@ -7,7 +7,7 @@
 //! frames shipped to the desktop. Connections come in through the
 //! crate's one front door (`crate::front`): one acceptor thread and one
 //! handler thread per admitted connection. Every handler shares one
-//! [`ExtractionCache`] and one per-server metrics [`Registry`] (counters
+//! [`FrameCache`] and one per-server metrics [`Registry`] (counters
 //! under the `serve.*` names in [`crate::stats`]).
 //!
 //! Protection: the server sheds rather than degrades. Past
@@ -30,7 +30,7 @@
 //! of the catalog — clients speak the identical protocol to the router
 //! and cannot tell the difference (`crate::router`).
 
-use crate::cache::{CacheKey, ExtractionCache, Probe, ServedFrame};
+use crate::cache::{CacheKey, FrameCache, Outcome, Probe, ServedFrame};
 use crate::fault::FaultScript;
 use crate::front::{CountGuard, Counters, FrontDoor, Service, Settings};
 use crate::protocol::{
@@ -157,7 +157,7 @@ impl Backend {
 struct Shared {
     backend: Backend,
     config: ServerConfig,
-    cache: ExtractionCache,
+    cache: FrameCache,
     metrics: Registry,
     building_extractions: AtomicUsize,
 }
@@ -179,7 +179,7 @@ impl Service for Shared {
     }
 
     fn respond<S: Write>(
-        shared: &Arc<Shared>,
+        &self,
         req: Request,
         stream: &mut S,
         session_version: &mut u16,
@@ -187,34 +187,33 @@ impl Service for Shared {
         let _span = accelviz_trace::span("serve.request");
         match req {
             Request::Hello { version } => {
-                let reply = negotiate_hello(version, shared.backend.frame_count(), session_version);
+                let reply = negotiate_hello(version, self.backend.frame_count(), session_version);
                 Ok((write_response_v(stream, *session_version, &reply)?, false))
             }
             Request::ListFrames => {
-                let frames = shared.backend.frame_infos(shared.config.point_budget);
+                let frames = self.backend.frame_infos(self.config.point_budget);
                 Ok((
                     write_response_v(stream, *session_version, &Response::FrameList(frames))?,
                     false,
                 ))
             }
             Request::RequestFrame { frame, threshold } => {
-                let served =
-                    match acquire_frame(shared, frame, threshold, stream, *session_version)? {
-                        Ok(served) => served,
-                        Err(reply_written) => return Ok(reply_written),
-                    };
+                let served = match acquire_frame(self, frame, threshold, stream, *session_version)?
+                {
+                    Ok(served) => served,
+                    Err(reply_written) => return Ok(reply_written),
+                };
                 // The first request at this session version encodes the
                 // envelope into the cache entry; every later one writes the
                 // stored bytes. Both lengths are counted per reply so the
                 // stats expose the live compression ratio.
                 let envelope = served.envelope(*session_version).get_or_init(|| {
                     let _span = accelviz_trace::span("serve.encode");
-                    shared.metrics.add(CTR_FRAME_ENCODES, 1);
+                    self.metrics.add(CTR_FRAME_ENCODES, 1);
                     encode_frame_envelope(&served.frame, *session_version)
                 });
-                shared.metrics.add(CTR_FRAME_BYTES_RAW, envelope.raw_len);
-                shared
-                    .metrics
+                self.metrics.add(CTR_FRAME_BYTES_RAW, envelope.raw_len);
+                self.metrics
                     .add(CTR_FRAME_BYTES_WIRE, envelope.payload_len());
                 let mut span = accelviz_trace::span("serve.send");
                 let bytes = envelope.write_to(stream)?;
@@ -229,11 +228,11 @@ impl Service for Shared {
                 if let Some(reply) = progressive_gate(*session_version) {
                     return Ok((write_response_v(stream, *session_version, &reply)?, false));
                 }
-                let served =
-                    match acquire_frame(shared, frame, threshold, stream, *session_version)? {
-                        Ok(served) => served,
-                        Err(reply_written) => return Ok(reply_written),
-                    };
+                let served = match acquire_frame(self, frame, threshold, stream, *session_version)?
+                {
+                    Ok(served) => served,
+                    Err(reply_written) => return Ok(reply_written),
+                };
                 // Same cache entry as a plain fetch — a progressive and a
                 // full request for the same (frame, threshold) coalesce on
                 // one extraction; only the wire shape differs from here on.
@@ -250,13 +249,13 @@ impl Service for Shared {
                 for record in &records {
                     bytes += crate::protocol::write_chunk(stream, record)?;
                 }
-                shared.metrics.add(CTR_LOD_REQUESTS, 1);
-                shared.metrics.add(CTR_LOD_CHUNKS, records.len() as u64);
-                shared.metrics.add(CTR_LOD_BYTES_WIRE, bytes);
+                self.metrics.add(CTR_LOD_REQUESTS, 1);
+                self.metrics.add(CTR_LOD_CHUNKS, records.len() as u64);
+                self.metrics.add(CTR_LOD_BYTES_WIRE, bytes);
                 Ok((bytes, true))
             }
             Request::Stats => {
-                let snapshot = ServerStats::from_registry(&shared.metrics);
+                let snapshot = ServerStats::from_registry(&self.metrics);
                 Ok((
                     write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
                     false,
@@ -338,7 +337,7 @@ impl FrameServer {
         let shared = Arc::new(Shared {
             backend,
             config,
-            cache: ExtractionCache::new(config.cache_capacity),
+            cache: FrameCache::new(config.cache_capacity as u64, |_| 1),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
         });
@@ -398,10 +397,10 @@ fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
 
 /// The shared admission-and-build path behind both frame request kinds:
 /// rejects a NaN threshold or unknown frame, applies extraction-limit
-/// shedding, pages the frame in on the stored backend, and resolves the
-/// extraction through the cache. On a policy failure the in-band error
-/// reply is already written and the inner `Err` carries `respond`'s
-/// return value for it; the outer `Err` is a dead client connection.
+/// shedding, and resolves the extraction through the cache. On a policy
+/// or build failure the in-band error reply is already written and the
+/// inner `Err` carries `respond`'s return value for it; the outer `Err`
+/// is a dead client connection.
 fn acquire_frame<S: Write>(
     shared: &Shared,
     frame: u32,
@@ -421,8 +420,7 @@ fn acquire_frame<S: Write>(
     // coalescing waiters are cheap and always admitted. The probe
     // is advisory (the entry may change before get_or_build), so
     // the limit is a strong bound, not a hard invariant.
-    let probe = shared.cache.probe(&key);
-    let _permit = match probe {
+    let _permit = match shared.cache.probe(&key) {
         Probe::Vacant => match try_extraction_permit(shared) {
             Some(p) => Some(p),
             None => {
@@ -439,74 +437,58 @@ fn acquire_frame<S: Write>(
         },
         Probe::Ready | Probe::Building => None,
     };
-    // The stored backend pages the frame's particles in *before*
-    // committing to build, so a disk failure is an in-band
-    // ERR_INTERNAL instead of a panic. A Ready probe skips the
-    // fetch — serving a cached extraction must not churn the
-    // residency window.
-    let part: Option<Arc<PartitionedData>> = match &shared.backend {
-        Backend::Stored(run) if probe != Probe::Ready => match run.fetch(frame as usize) {
-            Ok(fetch) => Some(fetch.data),
-            Err(e) => {
-                let reply = Response::Error {
-                    code: ERR_INTERNAL,
-                    message: format!("run store failed loading frame {frame}: {e}"),
-                };
-                return Ok(Err((
-                    write_response_v(stream, session_version, &reply)?,
-                    false,
-                )));
-            }
-        },
-        _ => None,
-    };
-    let (extracted, hit) = {
+    let (built, outcome) = {
         let mut span = accelviz_trace::span("serve.extract");
         span.arg("frame", frame as f64);
         span.arg("threshold", threshold);
-        let (extracted, hit) = shared
+        let (built, outcome) = shared
             .cache
-            .get_or_build(CacheKey::new(frame, threshold), || {
-                build_frame(shared, part.as_deref(), frame as usize, threshold)
-            });
-        span.arg("cache_hit", hit as u64 as f64);
-        (extracted, hit)
+            .get_or_build(key, || build_frame(shared, frame as usize, threshold));
+        span.arg("cache_hit", (outcome != Outcome::Built) as u64 as f64);
+        (built, outcome)
     };
+    let extracted = match built {
+        Ok(extracted) => extracted,
+        Err(message) => {
+            let reply = Response::Error {
+                code: ERR_INTERNAL,
+                message,
+            };
+            return Ok(Err((
+                write_response_v(stream, session_version, &reply)?,
+                false,
+            )));
+        }
+    };
+    // A coalesced waiter shares the builder's extraction: a hit.
     shared.metrics.add(
-        if hit {
-            CTR_CACHE_HITS
-        } else {
-            CTR_CACHE_MISSES
+        match outcome {
+            Outcome::Hit | Outcome::Coalesced => CTR_CACHE_HITS,
+            Outcome::Built => CTR_CACHE_MISSES,
         },
         1,
     );
     Ok(Ok(extracted))
 }
 
-/// Builds one frame for the extraction cache. `part` is the paged-in
-/// partition for the stored backend (`None` for the resident backend, or
-/// in the rare race where a Ready probe was evicted before the build —
-/// then the fetch reruns here, and a disk failure panics into the
-/// handler's isolation instead of silently serving nothing).
-fn build_frame(
-    shared: &Shared,
-    part: Option<&PartitionedData>,
-    frame: usize,
-    threshold: f64,
-) -> HybridFrame {
-    let dims = shared.config.volume_dims;
-    match (&shared.backend, part) {
-        (Backend::Resident(data), _) => {
-            HybridFrame::from_partition(&data[frame], frame, threshold, dims)
-        }
-        (Backend::Stored(_), Some(p)) => HybridFrame::from_partition(p, frame, threshold, dims),
-        (Backend::Stored(run), None) => {
-            let fetch = run
+/// Builds one frame for the cache. The stored backend pages the
+/// frame's particles in here, so only the builder touches the disk
+/// (coalesced waiters share its result) and a disk failure becomes the
+/// build's error — an in-band `ERR_INTERNAL` for the builder and its
+/// waiters that is never cached.
+fn build_frame(shared: &Shared, frame: usize, threshold: f64) -> Result<HybridFrame, String> {
+    let fetched;
+    let data = match &shared.backend {
+        Backend::Resident(data) => &data[frame],
+        Backend::Stored(run) => {
+            fetched = run
                 .fetch(frame)
-                .unwrap_or_else(|e| panic!("run store failed loading frame {frame}: {e}"));
-            HybridFrame::from_partition(&fetch.data, frame, threshold, dims)
+                .map_err(|e| format!("run store failed loading frame {frame}: {e}"))?;
+            &*fetched.data
         }
-    }
+    };
+    let dims = shared.config.volume_dims;
+    Ok(HybridFrame::from_partition(data, frame, threshold, dims))
 }
 
 #[cfg(test)]
@@ -548,7 +530,7 @@ mod tests {
         let shared = Shared {
             backend: Backend::Resident(Vec::new()),
             config,
-            cache: ExtractionCache::new(2),
+            cache: FrameCache::new(2, |_| 1),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
         };

@@ -44,34 +44,6 @@ impl LogHistogram {
         }
     }
 
-    /// An upper bound, in seconds, on the `q`-quantile of the recorded
-    /// samples: the upper edge of the bucket the quantile falls in.
-    /// Coarse by construction (the buckets are decades), but exactly the
-    /// right shape for deriving a hedge delay — "no slower than the
-    /// bucket p95 landed in". Returns `None` when the histogram is empty
-    /// or the quantile lands in the unbounded overflow bucket, so
-    /// callers fall back to their own ceiling. `q` is clamped to
-    /// `[0, 1]`.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<f64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        // The rank of the quantile sample, 1-based, so q = 1.0 asks for
-        // the last sample and q = 0.0 for the first.
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return LATENCY_EDGES_US
-                    .get(bucket)
-                    .map(|&edge_us| edge_us as f64 / 1e6);
-            }
-        }
-        None
-    }
-
     /// Human label for bucket `i`, e.g. `"<=1ms"` or `">10s"`.
     pub fn label(i: usize) -> String {
         fn us_text(us: u64) -> String {
@@ -133,33 +105,5 @@ mod tests {
         let mut h = LogHistogram::default();
         h.record(-1.0);
         assert_eq!(h.counts[0], 1);
-    }
-
-    #[test]
-    fn quantile_upper_bound_walks_the_buckets() {
-        let mut h = LogHistogram::default();
-        assert_eq!(h.quantile_upper_bound(0.95), None, "empty histogram");
-        // 90 fast samples (<=100us), 9 medium (<=10ms), 1 slow (<=1s).
-        for _ in 0..90 {
-            h.record(50e-6);
-        }
-        for _ in 0..9 {
-            h.record(5e-3);
-        }
-        h.record(0.5);
-        assert_eq!(h.quantile_upper_bound(0.5), Some(100e-6));
-        assert_eq!(h.quantile_upper_bound(0.9), Some(100e-6));
-        assert_eq!(h.quantile_upper_bound(0.95), Some(10e-3));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(1.0));
-        // Out-of-range q clamps rather than panicking.
-        assert_eq!(h.quantile_upper_bound(7.0), Some(1.0));
-        assert_eq!(h.quantile_upper_bound(-1.0), Some(100e-6));
-    }
-
-    #[test]
-    fn quantile_in_the_overflow_bucket_is_unbounded() {
-        let mut h = LogHistogram::default();
-        h.record(60.0);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
     }
 }

@@ -51,7 +51,7 @@ fn main() {
     // A hair-trigger breaker and a fast upstream retry make the failover
     // visible in a short example; production defaults are gentler. The
     // 1-byte router cache forces every fetch to the shards — otherwise
-    // the second pass would be absorbed by the router's FetchCache and
+    // the second pass would be absorbed by the router's frame cache and
     // the outage would never reach the breaker at all.
     let service = ShardedFrameService::spawn_loopback_replicated(
         data,

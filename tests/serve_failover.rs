@@ -404,58 +404,6 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
     revived.shutdown();
 }
 
-/// Hedged reads stay correct: with an aggressive hedge delay every
-/// fetch may race two replicas, and the session is still bit-identical
-/// with no duplicate replies — the first genuine answer wins, the loser
-/// is discarded by the channel, and the cache sees one result per key.
-#[test]
-fn hedged_reads_stay_bit_identical_and_are_counted() {
-    use accelviz::serve::HedgeConfig;
-
-    let data = stores(FRAMES);
-    let reference = reference_frames(&data);
-    let mut service = ShardedFrameService::spawn_loopback_replicated(
-        data,
-        3,
-        2,
-        ServerConfig::default(),
-        RouterConfig {
-            hedge: Some(HedgeConfig {
-                quantile: 0.95,
-                // Zero floor: with an empty histogram the delay starts at
-                // max_delay, then collapses toward the observed latency —
-                // so later fetches hedge aggressively.
-                min_delay: Duration::ZERO,
-                max_delay: Duration::from_millis(5),
-            }),
-            ..chaos_router(606)
-        },
-    )
-    .unwrap();
-    let spec = ShardSpec::new(3);
-    let victim = spec.owner_of(0);
-
-    let client = Client::connect_with(service.addr(), ClientConfig::no_retry()).unwrap();
-    let mut remote = RemoteFrames::new(client, f64::INFINITY, 2);
-    for round in 0..3 {
-        for (f, want) in reference.iter().enumerate() {
-            let (got, load) = remote.load(f).unwrap();
-            assert!(!load.degraded, "round {round} frame {f}");
-            assert_eq!(&*got, want, "round {round} frame {f} differs");
-        }
-    }
-    // And hedging composes with failover: kill a shard, the session
-    // still never degrades.
-    service.kill_shard(victim);
-    for (f, want) in reference.iter().enumerate() {
-        let (got, load) = remote.load(f).unwrap();
-        assert!(!load.degraded, "post-kill frame {f} degraded");
-        assert_eq!(&*got, want);
-    }
-    assert_eq!(remote.degraded_loads, 0);
-    service.shutdown();
-}
-
 /// `spawn_loopback_replicated` provisioning is sound: at replication 2
 /// each shard's slice is exactly the frames whose replica set includes
 /// it, in ascending global order — so every replica serves bytes

@@ -2,16 +2,18 @@
 //! backed by a run file whose particle payload exceeds its residency
 //! budget serves every frame bit-identical to in-memory extraction,
 //! pages frames in and out under the byte budget (visible on the
-//! residency counters), and interoperates with a v1-pinned client over
-//! the uncompressed wire encoding.
+//! residency counters), interoperates with a v1-pinned client over
+//! the uncompressed wire encoding, and answers a corrupt particle chunk
+//! with an in-band error it never caches.
 
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::octree::builder::{partition, BuildParams};
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
+use accelviz::serve::protocol::ERR_INTERNAL;
 use accelviz::serve::wire::{V1, V2};
-use accelviz::serve::{Client, ClientConfig, FrameServer, ServerConfig};
+use accelviz::serve::{Client, ClientConfig, FrameServer, ServeError, ServerConfig};
 use accelviz::store::run::write_run_file;
 use accelviz::store::ResidentRun;
 use std::path::PathBuf;
@@ -183,5 +185,62 @@ fn pread_fallback_serves_identical_frames() {
             if run.is_mapped() { "mmap" } else { "pread" }
         );
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Flips one byte in the first particle chunk of frame `k` of the run
+/// file at `path`, reading the offsets from the file's own header,
+/// frame directory and chunk table (see `accelviz_store::run`).
+fn corrupt_particle_chunk(path: &std::path::Path, k: usize) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let frame_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let first_chunk = u64_at(&bytes, 24 + k * 48 + 24) as usize;
+    let chunk_table = 24 + frame_count * 48 + 8;
+    let off = u64_at(&bytes, chunk_table + first_chunk * 24) as usize;
+    bytes[off] ^= 0x01;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// A particle chunk that fails its checksum on fetch is an in-band
+/// `ERR_INTERNAL` for that frame only: the connection survives, every
+/// other frame is served bit-identical, and the failure is not cached —
+/// asking again reads the disk again and fails again.
+#[test]
+fn corrupt_particle_chunk_is_an_in_band_error_that_is_never_cached() {
+    let frames = build_frames();
+    let path = run_path("corrupt");
+    write_run_file(&path, &frames, 4_096).unwrap();
+    let k = 3;
+    corrupt_particle_chunk(&path, k);
+
+    // Trees are verified at open and are intact; only the particle
+    // chunk is bad, and that surfaces on fetch.
+    let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
+    let config = ServerConfig::default();
+    let dims = config.volume_dims;
+    let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+
+    let expect_internal =
+        |client: &mut Client, attempt: &str| match client.fetch(k as u32, f64::INFINITY) {
+            Err(ServeError::Remote { code, .. }) => assert_eq!(code, ERR_INTERNAL, "{attempt}"),
+            other => panic!("{attempt}: expected in-band ERR_INTERNAL, got {other:?}"),
+        };
+    expect_internal(&mut client, "first request");
+    for (i, data) in frames.iter().enumerate().filter(|&(i, _)| i != k) {
+        let (got, _) = client.fetch(i as u32, f64::INFINITY).unwrap();
+        let want = HybridFrame::from_partition(data, i, f64::INFINITY, dims);
+        assert_eq!(got, want, "frame {i} on the surviving connection");
+    }
+    let reads_before = run.stats().chunks_read;
+    expect_internal(&mut client, "second request");
+    assert!(
+        run.stats().chunks_read > reads_before,
+        "the second request read the disk again"
+    );
+    assert_eq!(client.stats().unwrap().cache_misses, FRAMES as u64 - 1);
+
+    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
