@@ -323,8 +323,8 @@ impl Client {
     /// then refinement records, reassembled and verified against the
     /// frame's v1 trailer — the returned frame is bit-identical to what
     /// [`Client::fetch`] returns for the same request. `chunk_bytes` is
-    /// the requested chunk budget (0 lets the server choose, honoring
-    /// its `ACCELVIZ_LOD_BUDGET`). Requires a v2 session; a v1-capped
+    /// the requested chunk budget (0 lets the server choose its default,
+    /// [`crate::lod::DEFAULT_CHUNK_BYTES`]). Requires a v2 session; a v1-capped
     /// client gets the server's in-band rejection.
     ///
     /// Resilience: a mid-stream transport failure reconnects and

@@ -19,6 +19,7 @@
 //! [`accelviz_trace`] registry, so a Chrome trace of a chaos run shows
 //! what was injected next to how the pipeline coped.
 
+use crate::retry::splitmix64;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -80,14 +81,13 @@ pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
-/// SplitMix64 — the plan generator's only randomness, fully determined
-/// by the seed.
-fn splitmix64(state: &mut u64) -> u64 {
+/// The stepping form of `splitmix64`: the next draw of the sequence
+/// seeded by `*state`, advancing it. The plan generator's only
+/// randomness, fully determined by the seed.
+fn next(state: &mut u64) -> u64 {
+    let draw = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    draw
 }
 
 impl FaultPlan {
@@ -118,9 +118,9 @@ impl FaultPlan {
         let mut s = seed ^ 0xC4A0_5CA7_A5C4_0FEE;
         let mut events = Vec::with_capacity(faults);
         // Mandatory trio, early enough to certainly fire.
-        let early = |s: &mut u64| span / 8 + splitmix64(s) % (span / 2 - span / 8).max(1);
+        let early = |s: &mut u64| span / 8 + next(s) % (span / 2 - span / 8).max(1);
         for kind in [
-            FaultKind::Delay(Duration::from_millis(1 + splitmix64(&mut s) % 8)),
+            FaultKind::Delay(Duration::from_millis(1 + next(&mut s) % 8)),
             FaultKind::Disconnect,
             FaultKind::Truncate,
         ] {
@@ -131,25 +131,25 @@ impl FaultPlan {
             });
         }
         for _ in 3..faults {
-            let kind = match splitmix64(&mut s) % 4 {
-                0 => FaultKind::Delay(Duration::from_millis(1 + splitmix64(&mut s) % 8)),
+            let kind = match next(&mut s) % 4 {
+                0 => FaultKind::Delay(Duration::from_millis(1 + next(&mut s) % 8)),
                 1 => FaultKind::Disconnect,
                 2 => FaultKind::Truncate,
-                _ => FaultKind::FlipBit((splitmix64(&mut s) % 8) as u8),
+                _ => FaultKind::FlipBit((next(&mut s) % 8) as u8),
             };
             // Bit flips only corrupt the inbound half: a flipped *request*
             // byte is rejected server-side as ERR_BAD_REQUEST, which a
             // client correctly treats as its own fatal bug — the chaos
             // generator must only schedule faults resilience can heal.
             let direction =
-                if matches!(kind, FaultKind::FlipBit(_)) || !splitmix64(&mut s).is_multiple_of(4) {
+                if matches!(kind, FaultKind::FlipBit(_)) || !next(&mut s).is_multiple_of(4) {
                     FaultDirection::Read
                 } else {
                     FaultDirection::Write
                 };
             events.push(FaultEvent {
                 direction,
-                at_byte: 16 + splitmix64(&mut s) % span,
+                at_byte: 16 + next(&mut s) % span,
                 kind,
             });
         }

@@ -1,9 +1,9 @@
-//! The connection front door the frame server and the shard router share.
+//! The connection front door every frame service owns.
 //!
 //! Thread-per-connection: one acceptor thread, and one handler thread per
-//! admitted connection running a strict request/reply session loop. What
-//! a [`Service`] answers is its own business; everything around it is
-//! written once here:
+//! admitted connection running a strict request/reply session loop. A
+//! frame server and a shard router answer requests with the same
+//! [`crate::server::respond`]; everything around it is written once here:
 //!
 //! - **Accept.** A non-blocking listener polled alongside a self-pipe
 //!   [`crate::poll::Waker`], so shutdown wakes an idle acceptor
@@ -12,8 +12,8 @@
 //!   counted instead of hot-spinning. Non-unix builds, and a listener
 //!   that refuses to go non-blocking, run a blocking loop whose shutdown
 //!   wake relies on the next connection arriving.
-//! - **Connection cap.** Past [`Settings::max_connections`] an arrival is
-//!   counted and handed to a small bounded [`ShedPool`], which answers
+//! - **Connection cap.** Past the service's `max_connections` an arrival
+//!   is counted and handed to a small bounded [`ShedPool`], which answers
 //!   one in-band `ERR_BUSY` with a retry-after hint and closes. A connect
 //!   flood therefore cannot mint threads: the process holds at most
 //!   `max_connections` handlers, [`ShedPool::WORKERS`] shed workers and
@@ -21,20 +21,20 @@
 //! - **Session loop.** Read a request (bounded by
 //!   [`crate::wire::MAX_REQUEST_PAYLOAD`]), drop the connection at the
 //!   request boundary once shutdown is raised, hold an in-flight guard
-//!   while [`Service::respond`] runs under `catch_unwind` (a panic
-//!   answers `ERR_INTERNAL` and the session continues), then count the
-//!   request, its bytes, frames and latency.
+//!   while `respond` runs under `catch_unwind` (a panic answers
+//!   `ERR_INTERNAL` and the session continues), then count the request,
+//!   its bytes, frames and latency.
 //! - **Stop.** Raise the flag, wake and join the acceptor, then let
-//!   in-flight replies drain within [`Settings::drain_timeout`].
+//!   in-flight replies drain within [`DRAIN_TIMEOUT`].
 
-use crate::error::{Result, ServeError};
+use crate::error::ServeError;
 use crate::fault::{FaultScript, FaultyTransport};
 use crate::protocol::{
-    read_request, write_response, write_response_v, Request, Response, ERR_BAD_REQUEST, ERR_BUSY,
+    read_request, write_response, write_response_v, Response, ERR_BAD_REQUEST, ERR_BUSY,
     ERR_INTERNAL,
 };
+use crate::server::{respond, ServerConfig, Shared};
 use crate::wire::V1;
-use accelviz_trace::registry::Registry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,25 +45,12 @@ use std::time::{Duration, Instant};
 /// The in-band message a shed connection gets with its `ERR_BUSY`.
 const SHED_CONNECTION_MSG: &str = "server at connection capacity; retry after ~100 ms";
 
-/// What sits behind a front door: the request handler and the registry
-/// the door's counters land in.
-pub(crate) trait Service: Send + Sync + 'static {
-    /// The registry [`Counters`] are recorded in.
-    fn metrics(&self) -> &Registry;
+/// How long stop waits for in-flight replies to reach their clients.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(1);
 
-    /// Serves one request; returns (wire bytes written, was a frame
-    /// reply). `session_version` is the connection's negotiated protocol
-    /// version: `Hello` updates it, and every reply is framed with it.
-    fn respond<S: Write>(
-        &self,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> Result<(u64, bool)>;
-}
-
-/// The registry names a front door counts under — `serve.*` for a frame
-/// server, `router.*` for a router.
+/// The registry counter and span names one service counts under —
+/// `serve.*` for a frame server, `router.*` for a router. The front door
+/// and the shared request path in [`crate::server`] both read them here.
 pub(crate) struct Counters {
     pub(crate) requests: &'static str,
     pub(crate) frames_served: &'static str,
@@ -72,22 +59,23 @@ pub(crate) struct Counters {
     pub(crate) handler_panics: &'static str,
     pub(crate) shed_connections: &'static str,
     pub(crate) accept_errors: &'static str,
-}
-
-/// How a front door treats its connections.
-pub(crate) struct Settings {
-    pub(crate) counters: &'static Counters,
-    /// Bound on one blocking read from a client; `None` waits forever.
-    pub(crate) read_timeout: Option<Duration>,
-    /// Same bound for writes.
-    pub(crate) write_timeout: Option<Duration>,
-    /// Connections served concurrently; past this, `ERR_BUSY`.
-    pub(crate) max_connections: usize,
-    /// How long stop waits for in-flight replies.
-    pub(crate) drain_timeout: Duration,
-    /// Chaos hook: when set, every admitted connection is wrapped in a
-    /// [`FaultyTransport`] drawing from this script.
-    pub(crate) faults: Option<Arc<FaultScript>>,
+    pub(crate) shed_extractions: &'static str,
+    pub(crate) cache_hits: &'static str,
+    pub(crate) cache_misses: &'static str,
+    pub(crate) coalesced: &'static str,
+    pub(crate) frame_encodes: &'static str,
+    pub(crate) frame_bytes_raw: &'static str,
+    pub(crate) frame_bytes_wire: &'static str,
+    pub(crate) lod_requests: &'static str,
+    pub(crate) lod_chunks: &'static str,
+    pub(crate) lod_bytes_wire: &'static str,
+    /// Stage span names: the whole request, the cache lookup or build,
+    /// the envelope encode, the frame write and the chunked write.
+    pub(crate) span_request: &'static str,
+    pub(crate) span_extract: &'static str,
+    pub(crate) span_encode: &'static str,
+    pub(crate) span_send: &'static str,
+    pub(crate) span_lod_send: &'static str,
 }
 
 /// Decrements a shared gauge on drop, panic or not.
@@ -100,9 +88,11 @@ impl Drop for CountGuard<'_> {
 }
 
 /// The state the acceptor, the shed workers and every handler share.
-struct Door<S> {
-    service: Arc<S>,
-    settings: Settings,
+struct Door {
+    service: Arc<Shared>,
+    /// Chaos hook: when set, every admitted connection is wrapped in a
+    /// [`FaultyTransport`] drawing from this script.
+    faults: Option<Arc<FaultScript>>,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
     inflight_requests: AtomicUsize,
@@ -110,25 +100,25 @@ struct Door<S> {
 
 /// A running front door. Dropping it (or calling [`FrontDoor::stop`])
 /// stops accepting and drains in-flight replies.
-pub(crate) struct FrontDoor<S: Service> {
-    door: Arc<Door<S>>,
+pub(crate) struct FrontDoor {
+    door: Arc<Door>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     #[cfg(unix)]
     waker: Arc<crate::poll::Waker>,
 }
 
-impl<S: Service> FrontDoor<S> {
-    /// Starts accepting on `listener`, answering with `service`.
+impl FrontDoor {
+    /// Starts accepting on `listener`, answering for `service`.
     pub(crate) fn spawn(
         listener: TcpListener,
-        service: Arc<S>,
-        settings: Settings,
-    ) -> io::Result<FrontDoor<S>> {
+        service: Arc<Shared>,
+        faults: Option<Arc<FaultScript>>,
+    ) -> io::Result<FrontDoor> {
         let addr = listener.local_addr()?;
         let door = Arc::new(Door {
             service,
-            settings,
+            faults,
             shutdown: AtomicBool::new(false),
             active_connections: AtomicUsize::new(0),
             inflight_requests: AtomicUsize::new(0),
@@ -164,7 +154,7 @@ impl<S: Service> FrontDoor<S> {
 
     /// Stops accepting, joins the acceptor, and lets replies already
     /// being computed or written reach their clients, bounded by
-    /// [`Settings::drain_timeout`]. Idempotent.
+    /// [`DRAIN_TIMEOUT`]. Idempotent.
     pub(crate) fn stop(&mut self) {
         let Some(accept) = self.accept.take() else {
             return;
@@ -178,14 +168,14 @@ impl<S: Service> FrontDoor<S> {
             let _ = TcpStream::connect(self.addr);
         }
         let _ = accept.join();
-        let deadline = Instant::now() + self.door.settings.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.door.inflight_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
 }
 
-impl<S: Service> Drop for FrontDoor<S> {
+impl Drop for FrontDoor {
     fn drop(&mut self) {
         self.stop();
     }
@@ -209,7 +199,7 @@ impl ShedPool {
     /// pinning the pool and bounds how long shutdown can block on it.
     const MAX_WAIT: Duration = Duration::from_secs(1);
 
-    fn start<S: Service>(door: &Arc<Door<S>>) -> ShedPool {
+    fn start(door: &Arc<Door>) -> ShedPool {
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(Self::QUEUE);
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..Self::WORKERS)
@@ -225,7 +215,7 @@ impl ShedPool {
                     if door.shutdown.load(Ordering::SeqCst) {
                         continue; // shutting down: just close it
                     }
-                    answer_shed(&door.settings, stream);
+                    answer_shed(&door.service.config, stream);
                 })
             })
             .collect();
@@ -257,10 +247,10 @@ impl Drop for ShedPool {
 /// request (its Hello) so the close after the reply is clean — closing
 /// with unread inbound data would RST the socket and the client would
 /// never see the reply — then send `ERR_BUSY` and drop the stream.
-fn answer_shed(settings: &Settings, mut stream: TcpStream) {
+fn answer_shed(config: &ServerConfig, mut stream: TcpStream) {
     let cap = |t: Option<Duration>| Some(t.unwrap_or(ShedPool::MAX_WAIT).min(ShedPool::MAX_WAIT));
-    let _ = stream.set_read_timeout(cap(settings.read_timeout));
-    let _ = stream.set_write_timeout(cap(settings.write_timeout));
+    let _ = stream.set_read_timeout(cap(config.read_timeout));
+    let _ = stream.set_write_timeout(cap(config.write_timeout));
     let _ = read_request(&mut stream);
     let _ = write_response(
         &mut stream,
@@ -273,11 +263,10 @@ fn answer_shed(settings: &Settings, mut stream: TcpStream) {
 
 /// Admits one accepted connection onto its own handler thread, or sheds
 /// it to the pool past the connection cap.
-fn admit<S: Service>(door: &Arc<Door<S>>, shed: &ShedPool, stream: TcpStream) {
-    if door.active_connections.load(Ordering::SeqCst) >= door.settings.max_connections {
-        door.service
-            .metrics()
-            .add(door.settings.counters.shed_connections, 1);
+fn admit(door: &Arc<Door>, shed: &ShedPool, stream: TcpStream) {
+    let service = &door.service;
+    if door.active_connections.load(Ordering::SeqCst) >= service.config.max_connections {
+        service.metrics.add(service.names.shed_connections, 1);
         shed.offer(stream);
         return;
     }
@@ -288,9 +277,9 @@ fn admit<S: Service>(door: &Arc<Door<S>>, shed: &ShedPool, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         // A stalled or byte-dribbling client must not pin this thread
         // forever: a timed-out read/write ends the session.
-        let _ = stream.set_read_timeout(door.settings.read_timeout);
-        let _ = stream.set_write_timeout(door.settings.write_timeout);
-        match &door.settings.faults {
+        let _ = stream.set_read_timeout(door.service.config.read_timeout);
+        let _ = stream.set_write_timeout(door.service.config.write_timeout);
+        match &door.faults {
             Some(script) => session(&door, FaultyTransport::new(stream, Arc::clone(script))),
             None => session(&door, stream),
         }
@@ -301,11 +290,7 @@ fn admit<S: Service>(door: &Arc<Door<S>>, shed: &ShedPool, stream: TcpStream) {
 /// shutdown self-pipe, with exponential backoff (and an accept-error
 /// count) on repeated `accept(2)` failures.
 #[cfg(unix)]
-fn accept_loop<S: Service>(
-    door: Arc<Door<S>>,
-    listener: TcpListener,
-    waker: Arc<crate::poll::Waker>,
-) {
+fn accept_loop(door: Arc<Door>, listener: TcpListener, waker: Arc<crate::poll::Waker>) {
     use crate::poll::{poll, AcceptBackoff, PollEntry};
     use std::os::unix::io::AsRawFd;
 
@@ -373,9 +358,8 @@ fn accept_loop<S: Service>(
                     Err(_) => {
                         // EMFILE and friends: count it and cool down
                         // instead of hot-spinning on a failing accept.
-                        door.service
-                            .metrics()
-                            .add(door.settings.counters.accept_errors, 1);
+                        let service = &door.service;
+                        service.metrics.add(service.names.accept_errors, 1);
                         cooldown = Some(Instant::now() + backoff.on_error());
                         break;
                     }
@@ -390,7 +374,7 @@ fn accept_loop<S: Service>(
 /// fallback when the listener can't go non-blocking. Keeps the shed pool,
 /// the accept-error count and a sleep-based backoff, but shutdown wake
 /// relies on the next connection arriving.
-fn blocking_accept_loop<S: Service>(door: Arc<Door<S>>, listener: TcpListener) {
+fn blocking_accept_loop(door: Arc<Door>, listener: TcpListener) {
     let shed = ShedPool::start(&door);
     let mut error_pause = Duration::from_millis(1);
     for stream in listener.incoming() {
@@ -404,9 +388,8 @@ fn blocking_accept_loop<S: Service>(door: Arc<Door<S>>, listener: TcpListener) {
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                door.service
-                    .metrics()
-                    .add(door.settings.counters.accept_errors, 1);
+                let service = &door.service;
+                service.metrics.add(service.names.accept_errors, 1);
                 std::thread::sleep(error_pause);
                 error_pause = (error_pause * 2).min(Duration::from_millis(100));
             }
@@ -415,9 +398,9 @@ fn blocking_accept_loop<S: Service>(door: Arc<Door<S>>, listener: TcpListener) {
 }
 
 /// One connection's request/reply loop.
-fn session<S: Service, T: Read + Write>(door: &Door<S>, mut stream: T) {
-    let metrics = door.service.metrics();
-    let counters = door.settings.counters;
+fn session<T: Read + Write>(door: &Door, mut stream: T) {
+    let metrics = &door.service.metrics;
+    let counters = door.service.names;
     // Until a `Hello` negotiates otherwise, the session speaks v1: a
     // pre-v2 client that skips the handshake gets exactly the byte
     // stream it always did.
@@ -453,7 +436,7 @@ fn session<S: Service, T: Read + Write>(door: &Door<S>, mut stream: T) {
         // connection (let alone the listener) down with it. The client
         // gets ERR_INTERNAL and the request/reply loop continues.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            door.service.respond(req, &mut stream, &mut session_version)
+            respond(&door.service, req, &mut stream, &mut session_version)
         }));
         let (bytes, served_frame) = match outcome {
             Ok(Ok(r)) => r,

@@ -24,7 +24,10 @@
 //!   weighted by entry on the server and by frame bytes on the router.
 //! - [`server`] — [`server::FrameServer`]: one handler thread per
 //!   admitted connection behind the crate's one front door (accept loop,
-//!   connection cap, session loop, drain), which the router shares.
+//!   connection cap, session loop, drain), and the one request path that
+//!   answers every request on every frame service. Where frames come
+//!   from is the server's backend: resident stores, an out-of-core run,
+//!   or — for a router — the shards.
 //! - [`poll`] — the hand-rolled readiness primitives under the accept
 //!   loop: a `poll(2)` wrapper, a self-pipe waker for the shutdown wake,
 //!   and accept-error backoff.
@@ -34,8 +37,8 @@
 //! - [`stats`] — the per-request counters and latency histogram the
 //!   `Stats` reply carries.
 //! - [`router`] — the scale-out layer: [`router::ShardedFrameService`]
-//!   and [`router::FrameRouter`], one AVWF front door over N shard
-//!   servers with rendezvous-hashed (optionally replicated) frame
+//!   and [`router::FrameRouter`], a frame server whose backend is N
+//!   shard servers with rendezvous-hashed (optionally replicated) frame
 //!   ownership, pooled retrying upstream connections, cross-shard herd
 //!   coalescing, replica failover, and aggregated `Stats`.
 //! - [`breaker`] — per-shard circuit breakers on the upstream leg, so a
@@ -45,7 +48,8 @@
 //!   cheap `Stats` round trips on a seeded-jitter interval and
 //!   reinstates recovered shards with no operator in the loop.
 //! - [`retry`] — the deterministic backoff policy behind the client's
-//!   reconnect-and-replay resilience.
+//!   reconnect-and-replay resilience, and the crate's one SplitMix64
+//!   seed mixer.
 //! - [`fault`] — seeded, scheduled fault injection for chaos testing
 //!   (delays, disconnects, truncations, bit flips at byte offsets).
 //! - [`lru`] — the O(log n) recency order shared by the frame cache,

@@ -12,7 +12,6 @@ use crate::stats::{LatencyHistogram, ServerStats, LATENCY_BUCKETS};
 use crate::wire::{
     decode_frame, decode_frame_v2, encode_frame_envelope, read_envelope, read_envelope_within,
     write_envelope, write_envelope_v, PayloadReader, PayloadWriter, MAX_REQUEST_PAYLOAD, V1, V2,
-    VERSION,
 };
 use accelviz_core::hybrid::HybridFrame;
 use std::io::{Read, Write};
@@ -103,8 +102,8 @@ pub enum Request {
         /// Absolute extraction threshold (leaf density).
         threshold: f64,
         /// Requested refinement-chunk size in bytes; the server clamps
-        /// it (and 0 means "server default", which honors
-        /// `ACCELVIZ_LOD_BUDGET`).
+        /// it (and 0 means "server default",
+        /// [`crate::lod::DEFAULT_CHUNK_BYTES`]).
         chunk_bytes: u64,
     },
 }
@@ -186,66 +185,6 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request> {
     };
     p.finish()?;
     Ok(req)
-}
-
-/// The reply to a client's `Hello { version }` from a service with
-/// `frame_count` frames. The session speaks the older of the two sides: a
-/// v1 client keeps its byte-identical session, a v2 (or future) client
-/// gets the newest encoding this build knows. Version 0 is rejected and
-/// leaves `session_version` as it was.
-pub(crate) fn negotiate_hello(
-    version: u16,
-    frame_count: usize,
-    session_version: &mut u16,
-) -> Response {
-    if version == 0 {
-        return Response::Error {
-            code: ERR_BAD_REQUEST,
-            message: format!("protocol version must be at least 1, client sent {version}"),
-        };
-    }
-    *session_version = version.min(VERSION);
-    Response::HelloAck {
-        version: *session_version,
-        frame_count: frame_count as u32,
-    }
-}
-
-/// The in-band rejection of a progressive request on a session below v2,
-/// or `None` when the session may stream. The chunk records ride v2
-/// envelopes and splice back into a frame the v2 trailer can verify; a
-/// v1 session has neither, and pre-v2 clients never send the request, so
-/// their byte streams stay frozen.
-pub(crate) fn progressive_gate(session_version: u16) -> Option<Response> {
-    (session_version < V2).then(|| Response::Error {
-        code: ERR_BAD_REQUEST,
-        message: "progressive streaming requires a v2 session; \
-                  send Hello with version >= 2 first"
-            .to_string(),
-    })
-}
-
-/// The in-band rejection of a request for `frame` at `threshold` from a
-/// catalog of `frame_count` frames, or `None` when it may proceed. NaN has
-/// no place in the density order: extraction's `partition_point` would
-/// silently return an empty prefix, and the many NaN bit patterns would
-/// each occupy their own cache slot. (±Inf stay valid dials: +Inf is the
-/// catalog's own "serve everything" sentinel, -Inf an empty extraction.)
-pub(crate) fn reject_frame_request(
-    frame: u32,
-    threshold: f64,
-    frame_count: usize,
-) -> Option<Response> {
-    if threshold.is_nan() {
-        return Some(Response::Error {
-            code: ERR_BAD_THRESHOLD,
-            message: format!("threshold must not be NaN, got {threshold}"),
-        });
-    }
-    (frame as usize >= frame_count).then(|| Response::Error {
-        code: ERR_NO_SUCH_FRAME,
-        message: format!("frame {frame} requested, {frame_count} available"),
-    })
 }
 
 /// Writes one response at protocol version 1 — the shape every peer

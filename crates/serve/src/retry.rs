@@ -53,7 +53,9 @@ impl Default for RetryPolicy {
     }
 }
 
-fn splitmix64(mut z: u64) -> u64 {
+/// SplitMix64 — the crate's one seed mixer: retry jitter, probe jitter,
+/// per-dial upstream seeds and (stepped) fault plans all draw from it.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -183,5 +185,80 @@ mod tests {
         let c = RetryPolicy::seeded(43).schedule();
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds must jitter differently");
+    }
+
+    /// Every consumer of the one `splitmix64` draws exactly what the
+    /// per-module copies it replaced drew: these values were recorded
+    /// from those copies, so a change to the mixer or to how a consumer
+    /// steps it shows up here before it shifts a replayed chaos run.
+    #[test]
+    fn splitmix64_and_its_consumers_are_pinned() {
+        use crate::fault::{FaultDirection::*, FaultKind::*, FaultPlan};
+        use crate::health::HealthConfig;
+
+        let mixed: Vec<u64> = [0, 1, 42, 0xDEAD_BEEF, u64::MAX]
+            .into_iter()
+            .map(splitmix64)
+            .collect();
+        assert_eq!(
+            mixed,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x910a_2dec_8902_5cc1,
+                0xbdd7_3226_2feb_6e95,
+                0x4adf_b90f_68c9_eb9b,
+                0xe4d9_7177_1b65_2c20,
+            ]
+        );
+
+        let ms = Duration::from_millis;
+        let plan = |seed| {
+            FaultPlan::chaos(seed, 8, 100_000)
+                .events()
+                .iter()
+                .map(|e| (e.direction, e.at_byte, e.kind))
+                .collect::<Vec<_>>()
+        };
+        // The two seeds the CI chaos matrix runs.
+        assert_eq!(
+            plan(20260806),
+            [
+                (Read, 22501, Delay(ms(8))),
+                (Read, 36087, Disconnect),
+                (Read, 37934, Delay(ms(4))),
+                (Read, 41533, Truncate),
+                (Read, 48189, Delay(ms(1))),
+                (Read, 89919, Disconnect),
+                (Read, 92799, Truncate),
+                (Read, 99480, FlipBit(3)),
+            ]
+        );
+        assert_eq!(
+            plan(31337),
+            [
+                (Read, 6144, FlipBit(6)),
+                (Read, 27970, Delay(ms(3))),
+                (Read, 31950, Truncate),
+                (Read, 40570, Disconnect),
+                (Read, 41219, FlipBit(3)),
+                (Write, 44433, Truncate),
+                (Read, 65981, Truncate),
+                (Write, 67962, Truncate),
+            ]
+        );
+
+        let nanos = |ds: Vec<Duration>| ds.iter().map(Duration::as_nanos).collect::<Vec<_>>();
+        assert_eq!(
+            nanos(RetryPolicy::seeded(42).schedule()),
+            [137_078_244, 206_154_992, 529_507_792, 977_849_951]
+        );
+        let health = HealthConfig {
+            probe_seed: 7,
+            ..HealthConfig::default()
+        };
+        assert_eq!(
+            nanos((0..4).map(|t| health.interval_for(t)).collect()),
+            [538_982_975, 538_517_716, 511_348_023, 583_719_146]
+        );
     }
 }

@@ -1,34 +1,35 @@
-//! The shard router: one AVWF front door over N frame servers.
+//! The shard router: one frame service over N frame servers.
 //!
 //! The paper's remote pipeline pairs one server with one viewer; scaling
 //! one terascale run to many concurrent dashboards means spreading the
 //! frame catalog over N shard servers ([`crate::server::FrameServer`]s)
 //! and putting a router in front that clients cannot tell from a single
-//! big server. It takes connections through the same front door as a
-//! server (`crate::front`: accept loop, connection cap answered with
-//! `ERR_BUSY`, session loop, drain) and differs only in what it answers:
+//! big server. A router *is* a frame server whose backend is the shard
+//! set: the same front door (`crate::front`: accept loop, connection cap
+//! answered with `ERR_BUSY`, session loop, drain) and the same request
+//! path (`crate::server::respond`: Hello negotiation, rejection, the
+//! coalescing frame cache, encode-once envelopes, progressive
+//! re-chunking) answer every request. Only three answers come from the
+//! shards:
 //!
-//! - `Hello` negotiates a protocol version locally, exactly like a
-//!   direct server — the client's session version is independent of the
-//!   (always newest) version the router speaks to its shards.
-//! - `ListFrames` answers with the merged catalog: every shard's local
-//!   catalog stitched back into global frame order at spawn time.
-//! - `RequestFrame` routes to the owning shard (the [`ShardMap`] built
-//!   from an [`ShardSpec`] rendezvous layout) over a pooled upstream
-//!   [`crate::client::Client`] — so the proxy leg inherits the client
-//!   layer's reconnect-and-replay retry machinery unchanged.
-//! - `Stats` sums every shard's counters into one wire-shaped
+//! - **Catalog.** `ListFrames` answers with the merged catalog: every
+//!   shard's local catalog stitched back into global frame order at
+//!   spawn time ([`FrameRouter::catalog`]).
+//! - **Build.** A cache miss routes to the owning shard (the [`ShardMap`]
+//!   built from an [`ShardSpec`] rendezvous layout) over a pooled
+//!   upstream [`crate::client::Client`] — so the proxy leg inherits the
+//!   client layer's reconnect-and-replay retry machinery unchanged — and
+//!   falls through the frame's replicas in preference order.
+//! - **`Stats`.** Sums every shard's counters into one wire-shaped
 //!   [`ServerStats`]; the router's own `router.*` counters live in its
 //!   private registry ([`FrameRouter::metrics`]) because the `Stats`
 //!   wire shape is frozen.
 //!
-//! Herd coalescing: the router keeps decoded frames keyed `(global
-//! frame, threshold bits)` in the same [`FrameCache`] the server keeps
-//! its extractions in, budgeted by frame bytes — a thundering herd of M
-//! clients on one cold frame costs one upstream fetch (and therefore at
-//! most one extraction on the owning shard). Upstream *failures* are
-//! shared with every coalesced waiter but never cached, so a shard
-//! coming back is observed on the very next request.
+//! Herd coalescing: the router's frame cache is budgeted by frame bytes
+//! — a thundering herd of M clients on one cold frame costs one upstream
+//! fetch (and therefore at most one extraction on the owning shard).
+//! Upstream *failures* are shared with every coalesced waiter but never
+//! cached, so a shard coming back is observed on the very next request.
 //!
 //! Failure semantics (the PR 5 degradation model, one hop out): when a
 //! shard dies mid-session the router retries per its upstream policy,
@@ -40,26 +41,22 @@
 //! at a replacement), the same requests simply succeed again.
 
 use crate::breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::{CacheKey, FrameCache, Outcome, ServedFrame};
+use crate::cache::FrameCache;
 use crate::client::{Client, ClientConfig};
-use crate::front::{Counters, FrontDoor, Service, Settings};
+use crate::front::Counters;
 use crate::health::{HealthConfig, Prober};
-use crate::protocol::{
-    negotiate_hello, progressive_gate, reject_frame_request, write_response_v, FrameInfo, Request,
-    Response, ERR_INTERNAL,
-};
-use crate::retry::RetryPolicy;
-use crate::server::{FrameServer, ServerConfig};
+use crate::protocol::FrameInfo;
+use crate::retry::splitmix64;
+use crate::server::{Backend, FrameServer, ServerConfig};
 use crate::stats::ServerStats;
-use crate::wire::encode_frame_envelope;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::shard::ShardSpec;
 use accelviz_octree::sorted_store::PartitionedData;
 use accelviz_store::ResidentRun;
 use accelviz_trace::registry::Registry;
 use parking_lot::Mutex;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,7 +72,8 @@ pub const CTR_ROUTER_BYTES_SENT: &str = "router.bytes_sent";
 /// Registry counter: frame requests answered from the router's frame
 /// cache (including coalesced waiters).
 pub const CTR_ROUTER_CACHE_HITS: &str = "router.cache_hits";
-/// Registry counter: frame requests that went upstream to a shard.
+/// Registry counter: frame requests whose upstream fetch succeeded (a
+/// failed fetch counts only under `router.upstream_errors`).
 pub const CTR_ROUTER_CACHE_MISSES: &str = "router.cache_misses";
 /// Registry counter: frame requests that coalesced into an upstream
 /// fetch already in flight (a subset of `router.cache_hits` — the herd
@@ -108,6 +106,22 @@ pub const HIST_ROUTER_LATENCY: &str = "router.request_latency";
 pub const CTR_ROUTER_LOD_REQUESTS: &str = "router.lod_requests";
 /// Registry counter: progressive chunk records the router wrote.
 pub const CTR_ROUTER_LOD_CHUNKS: &str = "router.lod_chunks";
+/// Registry counter: wire bytes of progressive chunk envelopes the
+/// router wrote.
+pub const CTR_ROUTER_LOD_BYTES_WIRE: &str = "router.lod_bytes_wire";
+/// Registry counter: frame reply envelopes the router encoded — once per
+/// cached frame and protocol version, exactly as a direct server would.
+pub const CTR_ROUTER_FRAME_ENCODES: &str = "router.frame_encodes";
+/// Registry counter: what the router's frame replies would have occupied
+/// as raw v1 payloads.
+pub const CTR_ROUTER_FRAME_BYTES_RAW: &str = "router.frame_bytes_raw";
+/// Registry counter: frame payload bytes the router actually wrote
+/// (compressed under AVWF v2).
+pub const CTR_ROUTER_FRAME_BYTES_WIRE: &str = "router.frame_bytes_wire";
+/// Registry counter: frame requests refused at the router's in-flight
+/// fetch limit. The limit is the connection cap and every in-flight
+/// fetch holds its own connection, so this stays zero.
+pub const CTR_ROUTER_SHED_EXTRACTIONS: &str = "router.shed_extractions";
 /// Registry counter: breaker trips (Closed or HalfOpen → Open) — a
 /// shard was ejected from routing until it proves itself again.
 pub const CTR_ROUTER_BREAKER_OPEN: &str = "router.breaker_open";
@@ -298,18 +312,13 @@ pub struct RouterConfig {
     /// shards — retry/backoff on this leg is what turns a shard blip
     /// into a blip instead of a failed client request. `max_version` is
     /// honored, so a `wire::V1`-capped upstream config forces
-    /// uncompressed shard hops.
+    /// uncompressed shard hops. The retry seed is only a *base*: every
+    /// fresh upstream dial derives its own jitter seed from `(base seed,
+    /// shard, dial count)`, so a shard restart does not march every
+    /// pooled connection through identical backoff schedules (a
+    /// synchronized retry storm), while any fixed base seed still
+    /// replays exactly.
     pub upstream: ClientConfig,
-    /// Overrides `upstream.retry` when set — the knob operators tune
-    /// without rebuilding a whole [`ClientConfig`]. Whichever policy
-    /// wins, its seed is only a *base*: every fresh upstream dial
-    /// derives its own jitter seed from `(base seed, shard, dial
-    /// count)`, so a shard restart does not march every pooled
-    /// connection through identical backoff schedules (a synchronized
-    /// retry storm), while any fixed base seed still replays exactly.
-    pub upstream_retry: Option<RetryPolicy>,
-    /// Idle upstream connections kept pooled per shard.
-    pub upstream_idle: usize,
     /// When a shard's circuit breaker trips and how long it cools down.
     pub breaker: BreakerConfig,
     /// The background health prober's pacing (zero interval disables
@@ -325,26 +334,18 @@ impl Default for RouterConfig {
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 256,
             upstream: ClientConfig::default(),
-            upstream_retry: None,
-            upstream_idle: 4,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
         }
     }
 }
 
-/// SplitMix64 — the workspace's stock seed mixer, used here to derive
-/// decorrelated per-connection retry seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Idle upstream connections kept pooled per shard.
+const UPSTREAM_IDLE: usize = 4;
 
 /// One shard's pooled upstream connections. Checked-out clients that
 /// finish their operation cleanly go back to the idle pool (up to
-/// `max_idle`); any failure drops the connection instead — its stream
+/// [`UPSTREAM_IDLE`]); any failure drops the connection instead — its stream
 /// may be mid-envelope, and the next checkout dials fresh.
 struct UpstreamPool {
     shard: usize,
@@ -353,18 +354,16 @@ struct UpstreamPool {
     config: ClientConfig,
     /// Fresh dials so far — the per-connection retry seed counter.
     dialed: AtomicU64,
-    max_idle: usize,
 }
 
 impl UpstreamPool {
-    fn new(shard: usize, addr: SocketAddr, config: ClientConfig, max_idle: usize) -> UpstreamPool {
+    fn new(shard: usize, addr: SocketAddr, config: ClientConfig) -> UpstreamPool {
         UpstreamPool {
             shard,
             addr: Mutex::new(addr),
             idle: Mutex::new(Vec::new()),
             config,
             dialed: AtomicU64::new(0),
-            max_idle,
         }
     }
 
@@ -408,33 +407,26 @@ impl UpstreamPool {
             None => Client::connect_with(self.addr(), self.dial_config())?,
         };
         let before = client.client_stats().retries;
-        match op(&mut client) {
-            Ok(v) => {
-                let retries = client.client_stats().retries - before;
-                let mut idle = self.idle.lock();
-                if idle.len() < self.max_idle {
-                    idle.push(client);
-                }
-                Ok((v, retries))
-            }
-            Err(e) => Err(e),
+        let value = op(&mut client)?;
+        let retries = client.client_stats().retries - before;
+        let mut idle = self.idle.lock();
+        if idle.len() < UPSTREAM_IDLE {
+            idle.push(client);
         }
+        Ok((value, retries))
     }
 }
 
-/// The state every connection handler shares.
-struct RouterShared {
+/// A router's backend: where every frame lives, the pooled upstream
+/// connections to the shards, and one circuit breaker per shard, fed by
+/// upstream fetches, stats hops, and the background prober alike.
+pub(crate) struct Shards {
     map: ShardMap,
-    catalog: Vec<FrameInfo>,
     pools: Vec<UpstreamPool>,
-    /// One circuit breaker per shard, fed by upstream fetches, stats
-    /// hops, and the background prober alike.
     breakers: Vec<CircuitBreaker>,
-    cache: FrameCache,
-    metrics: Registry,
 }
 
-/// The `router.*` names the front door counts under.
+/// The `router.*` names a router counts under.
 static ROUTER_COUNTERS: Counters = Counters {
     requests: CTR_ROUTER_REQUESTS,
     frames_served: CTR_ROUTER_FRAMES_SERVED,
@@ -443,25 +435,32 @@ static ROUTER_COUNTERS: Counters = Counters {
     handler_panics: CTR_ROUTER_HANDLER_PANICS,
     shed_connections: CTR_ROUTER_SHED_CONNECTIONS,
     accept_errors: CTR_ROUTER_ACCEPT_ERRORS,
+    shed_extractions: CTR_ROUTER_SHED_EXTRACTIONS,
+    cache_hits: CTR_ROUTER_CACHE_HITS,
+    cache_misses: CTR_ROUTER_CACHE_MISSES,
+    coalesced: CTR_ROUTER_COALESCED,
+    frame_encodes: CTR_ROUTER_FRAME_ENCODES,
+    frame_bytes_raw: CTR_ROUTER_FRAME_BYTES_RAW,
+    frame_bytes_wire: CTR_ROUTER_FRAME_BYTES_WIRE,
+    lod_requests: CTR_ROUTER_LOD_REQUESTS,
+    lod_chunks: CTR_ROUTER_LOD_CHUNKS,
+    lod_bytes_wire: CTR_ROUTER_LOD_BYTES_WIRE,
+    span_request: "router.request",
+    span_extract: "router.extract",
+    span_encode: "router.encode",
+    span_send: "router.send",
+    span_lod_send: "router.lod_send",
 };
-
-/// How long router shutdown waits for in-flight replies.
-const ROUTER_DRAIN: Duration = Duration::from_secs(1);
 
 /// Lands a breaker state transition on the `router.breaker_*` counters.
 fn note_transition(metrics: &Registry, transition: Option<Transition>) {
-    match transition {
-        Some(Transition::Opened) => {
-            metrics.add(CTR_ROUTER_BREAKER_OPEN, 1);
-        }
-        Some(Transition::HalfOpened) => {
-            metrics.add(CTR_ROUTER_BREAKER_HALF_OPEN, 1);
-        }
-        Some(Transition::Closed) => {
-            metrics.add(CTR_ROUTER_BREAKER_CLOSED, 1);
-        }
-        None => {}
-    }
+    let name = match transition {
+        Some(Transition::Opened) => CTR_ROUTER_BREAKER_OPEN,
+        Some(Transition::HalfOpened) => CTR_ROUTER_BREAKER_HALF_OPEN,
+        Some(Transition::Closed) => CTR_ROUTER_BREAKER_CLOSED,
+        None => return,
+    };
+    metrics.add(name, 1);
 }
 
 /// A running shard router: binds its own listener, speaks the unchanged
@@ -508,9 +507,12 @@ fn note_transition(metrics: &Registry, transition: Option<Transition>) {
 /// b.shutdown();
 /// ```
 pub struct FrameRouter {
-    shared: Arc<RouterShared>,
-    front: FrontDoor<RouterShared>,
+    /// Declared first so it drops first: a dying deployment's shards
+    /// going away must not race probe verdicts into the breakers while
+    /// the front door drains.
     prober: Option<Prober>,
+    shards: Arc<Shards>,
+    server: FrameServer,
 }
 
 impl FrameRouter {
@@ -526,12 +528,8 @@ impl FrameRouter {
         map: ShardMap,
         config: RouterConfig,
     ) -> io::Result<FrameRouter> {
-        if shards.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a router needs at least one shard",
-            ));
-        }
+        // A map routes over at least one shard, so this also rejects an
+        // empty shard set.
         if shards.len() != map.shard_count() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -542,78 +540,66 @@ impl FrameRouter {
                 ),
             ));
         }
-        // The operator override wins over the full upstream config; the
-        // winner's seed is re-derived per dial inside the pool.
-        let mut upstream = config.upstream;
-        if let Some(retry) = config.upstream_retry {
-            upstream.retry = Some(retry);
-        }
         let shard_count = shards.len();
-        let pools: Vec<UpstreamPool> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| UpstreamPool::new(i, a, upstream, config.upstream_idle))
-            .collect();
-        let breakers = (0..shard_count)
-            .map(|_| CircuitBreaker::new(config.breaker))
-            .collect();
-        let catalog = merge_catalogs(&map, &pools)?;
-        let listener = TcpListener::bind(addr)?;
-        let shared = Arc::new(RouterShared {
+        let shards = Arc::new(Shards {
             map,
-            catalog,
-            pools,
-            breakers,
-            cache: FrameCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes),
-            metrics: Registry::new(),
+            pools: shards
+                .into_iter()
+                .enumerate()
+                .map(|(i, a)| UpstreamPool::new(i, a, config.upstream))
+                .collect(),
+            breakers: (0..shard_count)
+                .map(|_| CircuitBreaker::new(config.breaker))
+                .collect(),
         });
-        let prober = {
-            let addrs = Arc::clone(&shared);
-            let verdicts = Arc::clone(&shared);
-            Prober::spawn(
-                config.health,
-                shard_count,
-                move |i| addrs.pools[i].addr(),
-                move |i, ok| {
-                    if ok {
-                        verdicts.metrics.add(CTR_ROUTER_PROBE_OK, 1);
-                        note_transition(&verdicts.metrics, verdicts.breakers[i].on_success());
-                    } else {
-                        verdicts.metrics.add(CTR_ROUTER_PROBE_FAIL, 1);
-                        note_transition(&verdicts.metrics, verdicts.breakers[i].on_failure());
-                    }
-                },
-            )
-        };
-        let settings = Settings {
-            counters: &ROUTER_COUNTERS,
+        let service = ServerConfig {
             read_timeout: config.read_timeout,
             write_timeout: config.write_timeout,
             max_connections: config.max_connections,
-            drain_timeout: ROUTER_DRAIN,
-            faults: None,
+            // Every in-flight fetch holds its own connection, so at this
+            // limit a router never sheds a fetch.
+            max_inflight_extractions: config.max_connections,
+            ..ServerConfig::default()
         };
-        let front = FrontDoor::spawn(listener, Arc::clone(&shared), settings)?;
+        let cache = FrameCache::new(config.cache_bytes.max(1), HybridFrame::total_bytes);
+        let backend = Backend::Shards(Arc::clone(&shards));
+        let server = FrameServer::start(addr, backend, service, cache, &ROUTER_COUNTERS, None)?;
+        let (addrs, verdicts) = (Arc::clone(&shards), Arc::clone(&shards));
+        let shared = Arc::clone(&server.shared);
+        let prober = Prober::spawn(
+            config.health,
+            shard_count,
+            move |i| addrs.pools[i].addr(),
+            move |i, ok| {
+                let breaker = &verdicts.breakers[i];
+                let (name, transition) = match ok {
+                    true => (CTR_ROUTER_PROBE_OK, breaker.on_success()),
+                    false => (CTR_ROUTER_PROBE_FAIL, breaker.on_failure()),
+                };
+                shared.metrics.add(name, 1);
+                note_transition(&shared.metrics, transition);
+            },
+        );
         Ok(FrameRouter {
-            shared,
-            front,
             prober,
+            shards,
+            server,
         })
     }
 
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.front.addr()
+        self.server.addr()
     }
 
     /// Shards this router routes over.
     pub fn shard_count(&self) -> usize {
-        self.shared.map.shard_count()
+        self.shards.map.shard_count()
     }
 
     /// The merged catalog served to `ListFrames`, in global frame order.
     pub fn catalog(&self) -> &[FrameInfo] {
-        &self.shared.catalog
+        &self.server.shared.catalog
     }
 
     /// The router's private metrics registry — every `router.*` counter
@@ -621,7 +607,7 @@ impl FrameRouter {
     /// `Stats` reply carries the *summed shard* counters instead,
     /// because its shape is frozen.
     pub fn metrics(&self) -> &Registry {
-        &self.shared.metrics
+        self.server.metrics()
     }
 
     /// Repoints shard `shard`'s upstream pool at `addr` — the failover
@@ -633,45 +619,30 @@ impl FrameRouter {
     /// merged catalog is kept, so the replacement must serve the same
     /// frame slice. Errors when `shard` is out of range.
     pub fn set_shard_addr(&self, shard: usize, addr: SocketAddr) -> io::Result<()> {
-        match self.shared.pools.get(shard) {
-            Some(pool) => {
-                pool.set_addr(addr);
-                note_transition(&self.shared.metrics, self.shared.breakers[shard].reset());
-                Ok(())
-            }
-            None => Err(io::Error::new(
+        let shards = &self.shards;
+        let Some(pool) = shards.pools.get(shard) else {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("shard {shard} out of range ({} shards)", self.shard_count()),
-            )),
-        }
+            ));
+        };
+        pool.set_addr(addr);
+        note_transition(self.metrics(), shards.breakers[shard].reset());
+        Ok(())
     }
 
     /// Shard `shard`'s current circuit-breaker state, for dashboards
     /// and tests. Panics when `shard` is out of range.
     pub fn breaker_state(&self, shard: usize) -> BreakerState {
-        self.shared.breakers[shard].state()
+        self.shards.breakers[shard].state()
     }
 
-    /// Stops probing and accepting, joins the acceptor, and drains
-    /// in-flight replies (bounded by one second, mirroring the server's
-    /// default drain).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        // Stop probing first: a dying deployment's shards going away
-        // must not race verdicts into the breakers mid-shutdown.
-        if let Some(mut prober) = self.prober.take() {
-            prober.shutdown();
-        }
-        self.front.stop();
-    }
-}
-
-impl Drop for FrameRouter {
-    fn drop(&mut self) {
-        self.stop();
+    /// Stops probing, then stops accepting, joins the acceptor, and
+    /// drains in-flight replies (bounded by one second, like a server).
+    pub fn shutdown(self) {
+        let FrameRouter { prober, server, .. } = self;
+        drop(prober);
+        server.shutdown();
     }
 }
 
@@ -682,9 +653,10 @@ impl Drop for FrameRouter {
 /// replica's local index is validated against its shard's catalog too —
 /// a replica that cannot actually serve its frames would otherwise only
 /// be discovered during a failover, the worst possible moment.
-fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<FrameInfo>> {
-    let mut shard_catalogs = Vec::with_capacity(pools.len());
-    for (i, pool) in pools.iter().enumerate() {
+pub(crate) fn merge_catalogs(shards: &Shards) -> io::Result<Vec<FrameInfo>> {
+    let map = &shards.map;
+    let mut shard_catalogs = Vec::with_capacity(shards.pools.len());
+    for (i, pool) in shards.pools.iter().enumerate() {
         let (catalog, _retries) = pool.with(|c| c.list_frames()).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -721,221 +693,86 @@ fn merge_catalogs(map: &ShardMap, pools: &[UpstreamPool]) -> io::Result<Vec<Fram
     Ok(merged)
 }
 
-/// The router answers every request the way a direct server of the
-/// unsliced data would, so a client cannot tell the difference.
-impl Service for RouterShared {
-    fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    fn respond<S: Write>(
-        &self,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> crate::error::Result<(u64, bool)> {
-        match req {
-            Request::Hello { version } => {
-                let reply = negotiate_hello(version, self.catalog.len(), session_version);
-                Ok((write_response_v(stream, *session_version, &reply)?, false))
-            }
-            Request::ListFrames => {
-                let frames = self.catalog.clone();
-                Ok((
-                    write_response_v(stream, *session_version, &Response::FrameList(frames))?,
-                    false,
-                ))
-            }
-            Request::RequestFrame { frame, threshold } => {
-                let served = match route_frame(self, frame, threshold, stream, *session_version)? {
-                    Ok(served) => served,
-                    Err(reply_written) => return Ok(reply_written),
-                };
-                // Encode at the *client's* negotiated version once per cache
-                // entry, then write the stored bytes on every hit — both
-                // codecs are deterministic, so the bytes match what a direct
-                // server of the same data writes.
-                let envelope = served
-                    .envelope(*session_version)
-                    .get_or_init(|| encode_frame_envelope(&served.frame, *session_version));
-                Ok((envelope.write_to(stream)?, true))
-            }
-            Request::RequestFrameProgressive {
-                frame,
-                threshold,
-                chunk_bytes,
-            } => {
-                if let Some(reply) = progressive_gate(*session_version) {
-                    return Ok((write_response_v(stream, *session_version, &reply)?, false));
-                }
-                let served = match route_frame(self, frame, threshold, stream, *session_version)? {
-                    Ok(served) => served,
-                    Err(reply_written) => return Ok(reply_written),
-                };
-                // The upstream hop stays a *full* fetch through the shared
-                // cache (coalescing with plain requests for the same key);
-                // the router re-chunks locally with the same planner the
-                // shards run, which is a pure function of (frame, budget) —
-                // so the record bytes a sharded session sees are identical
-                // to a direct server's.
-                let records = crate::lod::plan_frame_chunks(
-                    &served.frame,
-                    crate::lod::chunk_budget(chunk_bytes),
-                );
-                let mut bytes = 0u64;
-                for record in &records {
-                    bytes += crate::protocol::write_chunk(stream, record)?;
-                }
-                self.metrics.add(CTR_ROUTER_LOD_REQUESTS, 1);
-                self.metrics
-                    .add(CTR_ROUTER_LOD_CHUNKS, records.len() as u64);
-                Ok((bytes, true))
-            }
-            Request::Stats => {
-                let snapshot = aggregate_stats(self);
-                Ok((
-                    write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
-                    false,
-                ))
-            }
-        }
-    }
-}
-
-/// The shared routing path behind both frame request kinds: rejects a
-/// NaN threshold or unknown frame, and resolves the frame through the
-/// router cache (one upstream fetch per herd). On a policy or upstream
-/// failure the in-band error reply is already written and the inner
-/// `Err` carries `respond`'s return value; the outer `Err` is a dead
-/// client connection.
-fn route_frame<S: Write>(
-    shared: &RouterShared,
-    frame: u32,
-    threshold: f64,
-    stream: &mut S,
-    session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<ServedFrame>, (u64, bool)>> {
-    if let Some(reply) = reject_frame_request(frame, threshold, shared.catalog.len()) {
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
-    }
-    let (result, outcome) = shared
-        .cache
-        .get_or_build(CacheKey::new(frame, threshold), || {
-            fetch_replicated(shared, frame, threshold)
-        });
-    match outcome {
-        Outcome::Hit => {
-            shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
-        }
-        Outcome::Coalesced => {
-            shared.metrics.add(CTR_ROUTER_CACHE_HITS, 1);
-            shared.metrics.add(CTR_ROUTER_COALESCED, 1);
-        }
-        Outcome::Built => {
-            shared.metrics.add(CTR_ROUTER_CACHE_MISSES, 1);
-        }
-    }
-    match result {
-        Ok(served) => Ok(Ok(served)),
-        Err(why) => {
-            // Upstream retries exhausted: degrade this frame
-            // in-band, keep the session. A resilient client turns
-            // this into a flagged stale frame (PR 5 model).
-            let reply = Response::Error {
-                code: ERR_INTERNAL,
-                message: why,
-            };
-            Ok(Err((
-                write_response_v(stream, session_version, &reply)?,
-                false,
-            )))
-        }
-    }
-}
-
-/// One upstream frame fetch attempt against shard `shard`, through its
-/// pool, with the shard's breaker told the outcome. The decoded frame
-/// is relabeled with its *global* step index: a sliced shard only knows
-/// its local frame numbering, and the run-wide convention (what a
-/// direct server of the unsliced data bakes into the frame, and what
-/// the merged catalog advertises) is `step == global index`.
-fn attempt_fetch(
-    shared: &RouterShared,
+/// Runs one upstream operation against shard `shard` through its pool,
+/// if the shard's breaker admits it; `None` when the breaker fast-fails
+/// (microseconds, no dial, no retry budget). The breaker is told the
+/// outcome, and state transitions, fast-fails, retries burned and
+/// errors land on the `router.*` counters. Admission is lazy — a
+/// half-open trial slot is only claimed when the caller is actually
+/// about to use it.
+fn upstream<T>(
+    shards: &Shards,
+    metrics: &Registry,
     shard: usize,
-    local: u32,
-    global: u32,
-    threshold: f64,
-) -> Result<HybridFrame, String> {
-    shared.metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
-    let t0 = Instant::now();
-    let result = shared.pools[shard].with(|c| c.fetch(local, threshold));
-    shared
-        .metrics
-        .record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
-    match result {
-        Ok(((mut frame, _metrics), retries)) => {
-            shared.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
-            note_transition(&shared.metrics, shared.breakers[shard].on_success());
-            frame.step = global as usize;
-            Ok(frame)
+    op: impl FnOnce(&UpstreamPool) -> crate::error::Result<(T, u64)>,
+) -> Option<crate::error::Result<T>> {
+    let breaker = &shards.breakers[shard];
+    let (admission, transition) = breaker.admit();
+    note_transition(metrics, transition);
+    if admission == Admission::FastFail {
+        metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
+        return None;
+    }
+    Some(match op(&shards.pools[shard]) {
+        Ok((value, retries)) => {
+            metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
+            note_transition(metrics, breaker.on_success());
+            Ok(value)
         }
         Err(e) => {
-            shared.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
-            note_transition(&shared.metrics, shared.breakers[shard].on_failure());
-            Err(format!(
-                "shard {shard} failed serving its frame {local}: {e}"
-            ))
+            metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
+            note_transition(metrics, breaker.on_failure());
+            Err(e)
         }
-    }
-}
-
-/// Whether shard `shard`'s breaker admits an upstream operation, landing
-/// its state transition and any fast-fail on the `router.*` counters.
-/// Admission is lazy — a half-open trial slot is only claimed when the
-/// caller is actually about to use it.
-fn admitted(shared: &RouterShared, shard: usize) -> bool {
-    let (admission, transition) = shared.breakers[shard].admit();
-    note_transition(&shared.metrics, transition);
-    if admission == Admission::FastFail {
-        shared.metrics.add(CTR_ROUTER_BREAKER_FAST_FAILS, 1);
-        return false;
-    }
-    true
+    })
 }
 
 /// One logical frame fetch, resolved across the frame's replica set:
-/// walk the preference order, skip replicas whose breaker fast-fails
-/// (microseconds each), attempt the rest in turn, and stop at the first
-/// success. Only when every replica has either fast-failed or genuinely
-/// failed does the fetch fail, which the caller turns into the in-band
-/// `ERR_INTERNAL` degraded path; with replication ≥ 2 a single dead
-/// shard therefore costs zero degraded frames.
-fn fetch_replicated(
-    shared: &RouterShared,
+/// walk the preference order, skip replicas whose breaker fast-fails,
+/// attempt the rest in turn, and stop at the first success. Only when
+/// every replica has either fast-failed or genuinely failed does the
+/// fetch fail, which the caller turns into the in-band `ERR_INTERNAL`
+/// degraded path; with replication ≥ 2 a single dead shard therefore
+/// costs zero degraded frames.
+///
+/// The decoded frame is relabeled with its *global* step index: a
+/// sliced shard only knows its local frame numbering, and the run-wide
+/// convention (what a direct server of the unsliced data bakes into the
+/// frame, and what the merged catalog advertises) is `step == global
+/// index`.
+pub(crate) fn fetch_replicated(
+    shards: &Shards,
+    metrics: &Registry,
     frame: u32,
     threshold: f64,
 ) -> Result<HybridFrame, String> {
-    let replicas = shared
+    let replicas = shards
         .map
         .replicas(frame)
         .expect("caller checked the frame exists");
     let mut last_err: Option<String> = None;
     for (idx, &(shard, local)) in replicas.iter().enumerate() {
-        let shard = shard as usize;
-        if !admitted(shared, shard) {
-            continue;
-        }
-        match attempt_fetch(shared, shard, local, frame, threshold) {
-            Ok(decoded) => {
+        let fetched = upstream(shards, metrics, shard as usize, |pool| {
+            metrics.add(CTR_ROUTER_UPSTREAM_FETCHES, 1);
+            let t0 = Instant::now();
+            let result = pool.with(|c| c.fetch(local, threshold));
+            metrics.record_seconds(HIST_ROUTER_UPSTREAM_LATENCY, t0.elapsed().as_secs_f64());
+            result
+        });
+        match fetched {
+            None => {}
+            Some(Ok((mut decoded, _metrics))) => {
                 if idx > 0 {
-                    shared.metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
+                    metrics.add(CTR_ROUTER_REPLICA_FAILOVERS, 1);
                 }
+                decoded.step = frame as usize;
                 return Ok(decoded);
             }
-            Err(e) => last_err = Some(e),
+            Some(Err(e)) => {
+                last_err = Some(format!(
+                    "shard {shard} failed serving its frame {local}: {e}"
+                ))
+            }
         }
     }
     Err(last_err.unwrap_or_else(|| {
@@ -955,31 +792,11 @@ fn fetch_replicated(
 /// full retry budget to every `Stats` round trip. Stats hops feed the
 /// breakers like any other upstream traffic, so a `Stats` poll doubles
 /// as a half-open trial once the cooldown elapses.
-fn aggregate_stats(shared: &RouterShared) -> ServerStats {
+pub(crate) fn aggregate_stats(shards: &Shards, metrics: &Registry) -> ServerStats {
     let mut total = ServerStats::default();
-    for (shard, pool) in shared.pools.iter().enumerate() {
-        if !admitted(shared, shard) {
-            continue;
-        }
-        match pool.with(|c| c.stats()) {
-            Ok((s, retries)) => {
-                shared.metrics.add(CTR_ROUTER_UPSTREAM_RETRIES, retries);
-                note_transition(&shared.metrics, shared.breakers[shard].on_success());
-                total.requests += s.requests;
-                total.frames_served += s.frames_served;
-                total.bytes_sent += s.bytes_sent;
-                total.cache_hits += s.cache_hits;
-                total.cache_misses += s.cache_misses;
-                total.frame_bytes_raw += s.frame_bytes_raw;
-                total.frame_bytes_wire += s.frame_bytes_wire;
-                for (t, c) in total.latency.counts.iter_mut().zip(s.latency.counts.iter()) {
-                    *t += c;
-                }
-            }
-            Err(_) => {
-                shared.metrics.add(CTR_ROUTER_UPSTREAM_ERRORS, 1);
-                note_transition(&shared.metrics, shared.breakers[shard].on_failure());
-            }
+    for shard in 0..shards.pools.len() {
+        if let Some(Ok(s)) = upstream(shards, metrics, shard, |pool| pool.with(|c| c.stats())) {
+            total.merge(&s);
         }
     }
     total
@@ -1221,17 +1038,7 @@ impl ShardedFrameService {
     pub fn stats(&self) -> ServerStats {
         let mut total = ServerStats::default();
         for shard in self.shards.iter().flatten() {
-            let s = shard.stats();
-            total.requests += s.requests;
-            total.frames_served += s.frames_served;
-            total.bytes_sent += s.bytes_sent;
-            total.cache_hits += s.cache_hits;
-            total.cache_misses += s.cache_misses;
-            total.frame_bytes_raw += s.frame_bytes_raw;
-            total.frame_bytes_wire += s.frame_bytes_wire;
-            for (t, c) in total.latency.counts.iter_mut().zip(s.latency.counts.iter()) {
-                *t += c;
-            }
+            total.merge(&shard.stats());
         }
         total
     }

@@ -22,28 +22,33 @@
 //! `accept(2)` failures (fd exhaustion) back off exponentially and are
 //! counted under `serve.accept_errors` instead of hot-spinning. Shutdown
 //! wakes the acceptor deterministically through a self-pipe and drains
-//! in-flight replies before returning, bounded by
-//! [`ServerConfig::drain_timeout`].
+//! in-flight replies before returning, bounded by one second.
 //!
-//! Scale-out: N of these servers can sit behind one
-//! [`crate::router::FrameRouter`], each owning a rendezvous-hashed slice
-//! of the catalog — clients speak the identical protocol to the router
-//! and cannot tell the difference (`crate::router`).
+//! One request path: one crate-private `respond` answers every request
+//! on every frame service. A [`crate::router::FrameRouter`] is a frame server whose
+//! `Backend` is its shard set — N of these servers, each owning a
+//! rendezvous-hashed slice of the catalog — so clients speak the
+//! identical protocol to the router and cannot tell the difference. The
+//! backends differ in three answers only: the catalog (computed once at
+//! spawn), how a frame is built on a cache miss, and what `Stats`
+//! reports; the two kinds of service differ only in the names they count
+//! under (`serve.*` or `router.*`).
 
 use crate::cache::{CacheKey, FrameCache, Outcome, Probe, ServedFrame};
 use crate::fault::FaultScript;
-use crate::front::{CountGuard, Counters, FrontDoor, Service, Settings};
+use crate::front::{CountGuard, Counters, FrontDoor};
 use crate::protocol::{
-    negotiate_hello, progressive_gate, reject_frame_request, write_response_v, FrameInfo, Request,
-    Response, ERR_BUSY, ERR_INTERNAL,
+    write_response_v, FrameInfo, Request, Response, ERR_BAD_REQUEST, ERR_BAD_THRESHOLD, ERR_BUSY,
+    ERR_INTERNAL, ERR_NO_SUCH_FRAME,
 };
+use crate::router::{aggregate_stats, fetch_replicated, merge_catalogs, Shards};
 use crate::stats::{
     ServerStats, CTR_ACCEPT_ERRORS, CTR_BYTES_SENT, CTR_CACHE_HITS, CTR_CACHE_MISSES,
-    CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_FRAME_ENCODES,
+    CTR_COALESCED, CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE, CTR_FRAME_ENCODES,
     CTR_HANDLER_PANICS, CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS, CTR_REQUESTS,
     CTR_SHED_CONNECTIONS, CTR_SHED_EXTRACTIONS, HIST_LATENCY,
 };
-use crate::wire::encode_frame_envelope;
+use crate::wire::{encode_frame_envelope, V2, VERSION};
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_octree::extraction::{threshold_for_budget, threshold_for_budget_tree};
 use accelviz_octree::sorted_store::PartitionedData;
@@ -82,8 +87,6 @@ pub struct ServerConfig {
     /// past this they are shed with `ERR_BUSY` on their live connection.
     /// Cached and coalescing requests are always admitted.
     pub max_inflight_extractions: usize,
-    /// How long shutdown waits for in-flight replies to finish.
-    pub drain_timeout: Duration,
     /// Has no effect: every admitted connection gets its own handler
     /// thread, so there is no worker pool to size. Nothing reads this
     /// field; it remains so struct literals that still set it compile.
@@ -100,37 +103,32 @@ impl Default for ServerConfig {
             write_timeout: Some(Duration::from_secs(30)),
             max_connections: 64,
             max_inflight_extractions: 8,
-            drain_timeout: Duration::from_secs(1),
             worker_threads: 4,
         }
     }
 }
 
-/// Where the server's frames live: fully resident in memory (the
-/// original topology — every partitioned store loaded up front), or
-/// backed by an on-disk run whose particle data pages in and out under
-/// [`ResidentRun`]'s byte budget. The request handlers are written
-/// against this enum, so an out-of-core server speaks the identical
-/// protocol and serves bit-identical frames.
-enum Backend {
+/// Where a service's frames come from: fully resident in memory (the
+/// original topology — every partitioned store loaded up front), an
+/// on-disk run whose particle data pages in and out under
+/// [`ResidentRun`]'s byte budget, or — for a router — the shard servers
+/// upstream. The request handlers are written against this enum, so every
+/// backend speaks the identical protocol and serves bit-identical frames.
+pub(crate) enum Backend {
     /// Every frame's partitioned store held in memory.
     Resident(Vec<PartitionedData>),
     /// Frames fetched on demand from an `accelviz-store` run file.
     Stored(Arc<ResidentRun>),
+    /// Frames fetched from the owning shard servers.
+    Shards(Arc<Shards>),
 }
 
 impl Backend {
-    fn frame_count(&self) -> usize {
-        match self {
-            Backend::Resident(data) => data.len(),
-            Backend::Stored(run) => run.frame_count(),
-        }
-    }
-
-    /// The frame catalog. The stored backend answers from directory
-    /// metadata and the always-resident octrees — no particle I/O.
-    fn frame_infos(&self, point_budget: usize) -> Vec<FrameInfo> {
-        match self {
+    /// The frame catalog, computed once at spawn. The stored backend
+    /// answers from directory metadata and the always-resident octrees —
+    /// no particle I/O; the shard backend merges every shard's catalog.
+    fn catalog(&self, point_budget: usize) -> io::Result<Vec<FrameInfo>> {
+        Ok(match self {
             Backend::Resident(data) => data
                 .iter()
                 .enumerate()
@@ -149,20 +147,23 @@ impl Backend {
                     default_threshold: threshold_for_budget_tree(&run.tree(i).0, point_budget),
                 })
                 .collect(),
-        }
+            Backend::Shards(shards) => return merge_catalogs(shards),
+        })
     }
 }
 
-/// The state every request handler shares.
-struct Shared {
+/// The state every request handler of one service shares.
+pub(crate) struct Shared {
     backend: Backend,
-    config: ServerConfig,
+    pub(crate) catalog: Vec<FrameInfo>,
+    pub(crate) config: ServerConfig,
+    pub(crate) names: &'static Counters,
     cache: FrameCache,
-    metrics: Registry,
+    pub(crate) metrics: Registry,
     building_extractions: AtomicUsize,
 }
 
-/// The `serve.*` names the front door counts under.
+/// The `serve.*` names a frame server counts under.
 static SERVE_COUNTERS: Counters = Counters {
     requests: CTR_REQUESTS,
     frames_served: CTR_FRAMES_SERVED,
@@ -171,73 +172,102 @@ static SERVE_COUNTERS: Counters = Counters {
     handler_panics: CTR_HANDLER_PANICS,
     shed_connections: CTR_SHED_CONNECTIONS,
     accept_errors: CTR_ACCEPT_ERRORS,
+    shed_extractions: CTR_SHED_EXTRACTIONS,
+    cache_hits: CTR_CACHE_HITS,
+    cache_misses: CTR_CACHE_MISSES,
+    coalesced: CTR_COALESCED,
+    frame_encodes: CTR_FRAME_ENCODES,
+    frame_bytes_raw: CTR_FRAME_BYTES_RAW,
+    frame_bytes_wire: CTR_FRAME_BYTES_WIRE,
+    lod_requests: CTR_LOD_REQUESTS,
+    lod_chunks: CTR_LOD_CHUNKS,
+    lod_bytes_wire: CTR_LOD_BYTES_WIRE,
+    span_request: "serve.request",
+    span_extract: "serve.extract",
+    span_encode: "serve.encode",
+    span_send: "serve.send",
+    span_lod_send: "serve.lod_send",
 };
 
-impl Service for Shared {
-    fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    fn respond<S: Write>(
-        &self,
-        req: Request,
-        stream: &mut S,
-        session_version: &mut u16,
-    ) -> crate::error::Result<(u64, bool)> {
-        let _span = accelviz_trace::span("serve.request");
-        match req {
-            Request::Hello { version } => {
-                let reply = negotiate_hello(version, self.backend.frame_count(), session_version);
-                Ok((write_response_v(stream, *session_version, &reply)?, false))
+/// Serves one request on any frame service; returns (wire bytes
+/// written, was a frame reply). `session_version` is the connection's
+/// negotiated protocol version: `Hello` updates it, and every reply is
+/// framed with it.
+pub(crate) fn respond<S: Write>(
+    shared: &Shared,
+    req: Request,
+    stream: &mut S,
+    session_version: &mut u16,
+) -> crate::error::Result<(u64, bool)> {
+    let names = shared.names;
+    let _span = accelviz_trace::span(names.span_request);
+    let reply = match req {
+        // The session speaks the older of the two sides: a v1 client
+        // keeps its byte-identical session, a v2 (or future) client gets
+        // the newest encoding this build knows. Version 0 is rejected and
+        // leaves the session version as it was.
+        Request::Hello { version: 0 } => Response::Error {
+            code: ERR_BAD_REQUEST,
+            message: "protocol version must be at least 1, client sent 0".to_string(),
+        },
+        Request::Hello { version } => {
+            *session_version = version.min(VERSION);
+            Response::HelloAck {
+                version: *session_version,
+                frame_count: shared.catalog.len() as u32,
             }
-            Request::ListFrames => {
-                let frames = self.backend.frame_infos(self.config.point_budget);
-                Ok((
-                    write_response_v(stream, *session_version, &Response::FrameList(frames))?,
-                    false,
-                ))
-            }
-            Request::RequestFrame { frame, threshold } => {
-                let served = match acquire_frame(self, frame, threshold, stream, *session_version)?
-                {
-                    Ok(served) => served,
-                    Err(reply_written) => return Ok(reply_written),
-                };
+        }
+        Request::ListFrames => Response::FrameList(shared.catalog.clone()),
+        Request::RequestFrame { frame, threshold } => match acquire_frame(shared, frame, threshold)
+        {
+            Err((code, message)) => Response::Error { code, message },
+            Ok(served) => {
                 // The first request at this session version encodes the
-                // envelope into the cache entry; every later one writes the
-                // stored bytes. Both lengths are counted per reply so the
+                // envelope into the cache entry; every later one writes
+                // the stored bytes. Both codecs are deterministic, so a
+                // router writes the bytes a direct server of the same
+                // data writes. Both lengths are counted per reply so the
                 // stats expose the live compression ratio.
                 let envelope = served.envelope(*session_version).get_or_init(|| {
-                    let _span = accelviz_trace::span("serve.encode");
-                    self.metrics.add(CTR_FRAME_ENCODES, 1);
+                    let _span = accelviz_trace::span(names.span_encode);
+                    shared.metrics.add(names.frame_encodes, 1);
                     encode_frame_envelope(&served.frame, *session_version)
                 });
-                self.metrics.add(CTR_FRAME_BYTES_RAW, envelope.raw_len);
-                self.metrics
-                    .add(CTR_FRAME_BYTES_WIRE, envelope.payload_len());
-                let mut span = accelviz_trace::span("serve.send");
+                shared.metrics.add(names.frame_bytes_raw, envelope.raw_len);
+                shared
+                    .metrics
+                    .add(names.frame_bytes_wire, envelope.payload_len());
+                let mut span = accelviz_trace::span(names.span_send);
                 let bytes = envelope.write_to(stream)?;
                 span.arg("bytes", bytes as f64);
-                Ok((bytes, true))
+                return Ok((bytes, true));
             }
-            Request::RequestFrameProgressive {
-                frame,
-                threshold,
-                chunk_bytes,
-            } => {
-                if let Some(reply) = progressive_gate(*session_version) {
-                    return Ok((write_response_v(stream, *session_version, &reply)?, false));
-                }
-                let served = match acquire_frame(self, frame, threshold, stream, *session_version)?
-                {
-                    Ok(served) => served,
-                    Err(reply_written) => return Ok(reply_written),
-                };
+        },
+        // The chunk records ride v2 envelopes and splice back into a
+        // frame the v2 trailer can verify; a v1 session has neither, and
+        // pre-v2 clients never send the request, so their byte streams
+        // stay frozen.
+        Request::RequestFrameProgressive { .. } if *session_version < V2 => Response::Error {
+            code: ERR_BAD_REQUEST,
+            message: "progressive streaming requires a v2 session; \
+                      send Hello with version >= 2 first"
+                .to_string(),
+        },
+        Request::RequestFrameProgressive {
+            frame,
+            threshold,
+            chunk_bytes,
+        } => match acquire_frame(shared, frame, threshold) {
+            Err((code, message)) => Response::Error { code, message },
+            Ok(served) => {
                 // Same cache entry as a plain fetch — a progressive and a
-                // full request for the same (frame, threshold) coalesce on
-                // one extraction; only the wire shape differs from here on.
+                // full request for the same (frame, threshold) coalesce
+                // on one build; only the wire shape differs from here on.
+                // The planner is a pure function of (frame, budget), so a
+                // router re-chunking a frame fetched whole writes the
+                // records a direct server writes.
                 let records = {
-                    let mut span = accelviz_trace::span("serve.lod_send");
+                    let mut span = accelviz_trace::span(names.span_lod_send);
                     let records = crate::lod::plan_frame_chunks(
                         &served.frame,
                         crate::lod::chunk_budget(chunk_bytes),
@@ -249,30 +279,28 @@ impl Service for Shared {
                 for record in &records {
                     bytes += crate::protocol::write_chunk(stream, record)?;
                 }
-                self.metrics.add(CTR_LOD_REQUESTS, 1);
-                self.metrics.add(CTR_LOD_CHUNKS, records.len() as u64);
-                self.metrics.add(CTR_LOD_BYTES_WIRE, bytes);
-                Ok((bytes, true))
+                shared.metrics.add(names.lod_requests, 1);
+                shared.metrics.add(names.lod_chunks, records.len() as u64);
+                shared.metrics.add(names.lod_bytes_wire, bytes);
+                return Ok((bytes, true));
             }
-            Request::Stats => {
-                let snapshot = ServerStats::from_registry(&self.metrics);
-                Ok((
-                    write_response_v(stream, *session_version, &Response::Stats(snapshot))?,
-                    false,
-                ))
-            }
-        }
-    }
+        },
+        Request::Stats => Response::Stats(match &shared.backend {
+            Backend::Shards(shards) => aggregate_stats(shards, &shared.metrics),
+            _ => ServerStats::from_registry(&shared.metrics),
+        }),
+    };
+    Ok((write_response_v(stream, *session_version, &reply)?, false))
 }
 
 /// A running frame server. Dropping it (or calling
 /// [`FrameServer::shutdown`]) stops the acceptor — woken
 /// deterministically through a self-pipe, so an *idle* server shuts down
-/// promptly too — then drains in-flight replies (bounded by
-/// [`ServerConfig::drain_timeout`]).
+/// promptly too — then drains in-flight replies (bounded by one
+/// second).
 pub struct FrameServer {
-    shared: Arc<Shared>,
-    front: FrontDoor<Shared>,
+    pub(crate) shared: Arc<Shared>,
+    front: FrontDoor,
 }
 
 impl FrameServer {
@@ -333,23 +361,32 @@ impl FrameServer {
         config: ServerConfig,
         faults: Option<Arc<FaultScript>>,
     ) -> io::Result<FrameServer> {
+        let cache = FrameCache::new(config.cache_capacity as u64, |_| 1);
+        FrameServer::start(addr, backend, config, cache, &SERVE_COUNTERS, faults)
+    }
+
+    /// Computes `backend`'s catalog, binds `addr` and starts answering
+    /// through the front door, counting under `names`.
+    pub(crate) fn start(
+        addr: &str,
+        backend: Backend,
+        config: ServerConfig,
+        cache: FrameCache,
+        names: &'static Counters,
+        faults: Option<Arc<FaultScript>>,
+    ) -> io::Result<FrameServer> {
+        let catalog = backend.catalog(config.point_budget)?;
         let listener = TcpListener::bind(addr)?;
         let shared = Arc::new(Shared {
             backend,
+            catalog,
             config,
-            cache: FrameCache::new(config.cache_capacity as u64, |_| 1),
+            names,
+            cache,
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),
         });
-        let settings = Settings {
-            counters: &SERVE_COUNTERS,
-            read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
-            max_connections: config.max_connections,
-            drain_timeout: config.drain_timeout,
-            faults,
-        };
-        let front = FrontDoor::spawn(listener, Arc::clone(&shared), settings)?;
+        let front = FrontDoor::spawn(listener, Arc::clone(&shared), faults)?;
         Ok(FrameServer { shared, front })
     }
 
@@ -372,7 +409,7 @@ impl FrameServer {
     }
 
     /// Stops accepting connections, joins the acceptor, and drains
-    /// in-flight replies (bounded by [`ServerConfig::drain_timeout`]).
+    /// in-flight replies (bounded by one second).
     pub fn shutdown(mut self) {
         self.front.stop();
     }
@@ -381,42 +418,44 @@ impl FrameServer {
 /// Tries to take one extraction permit; `None` means the limit is
 /// reached and the request should be shed.
 fn try_extraction_permit(shared: &Shared) -> Option<CountGuard<'_>> {
-    let limit = shared.config.max_inflight_extractions;
     let gauge = &shared.building_extractions;
-    let mut current = gauge.load(Ordering::SeqCst);
-    loop {
-        if current >= limit {
-            return None;
-        }
-        match gauge.compare_exchange(current, current + 1, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => return Some(CountGuard(gauge)),
-            Err(actual) => current = actual,
-        }
-    }
+    let limit = shared.config.max_inflight_extractions;
+    gauge
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < limit).then_some(n + 1)
+        })
+        .ok()
+        .map(|_| CountGuard(gauge))
 }
 
 /// The shared admission-and-build path behind both frame request kinds:
 /// rejects a NaN threshold or unknown frame, applies extraction-limit
-/// shedding, and resolves the extraction through the cache. On a policy
-/// or build failure the in-band error reply is already written and the
-/// inner `Err` carries `respond`'s return value for it; the outer `Err`
-/// is a dead client connection.
-fn acquire_frame<S: Write>(
+/// shedding, and resolves the frame through the cache. `Err` carries the
+/// code and message of the in-band error reply. A failed build counts
+/// as neither a hit nor a miss.
+fn acquire_frame(
     shared: &Shared,
     frame: u32,
     threshold: f64,
-    stream: &mut S,
-    session_version: u16,
-) -> crate::error::Result<std::result::Result<Arc<ServedFrame>, (u64, bool)>> {
-    if let Some(reply) = reject_frame_request(frame, threshold, shared.backend.frame_count()) {
-        return Ok(Err((
-            write_response_v(stream, session_version, &reply)?,
-            false,
-        )));
+) -> Result<Arc<ServedFrame>, (u16, String)> {
+    let names = shared.names;
+    // NaN has no place in the density order: extraction's
+    // `partition_point` would silently return an empty prefix, and the
+    // many NaN bit patterns would each occupy their own cache slot. (±Inf
+    // stay valid dials: +Inf is the catalog's own "serve everything"
+    // sentinel, -Inf an empty extraction.)
+    if threshold.is_nan() {
+        let message = format!("threshold must not be NaN, got {threshold}");
+        return Err((ERR_BAD_THRESHOLD, message));
+    }
+    let frame_count = shared.catalog.len();
+    if frame as usize >= frame_count {
+        let message = format!("frame {frame} requested, {frame_count} available");
+        return Err((ERR_NO_SUCH_FRAME, message));
     }
     let key = CacheKey::new(frame, threshold);
     // Load shedding at the extraction limit: only requests that
-    // would start a *new* extraction are shed — cached frames and
+    // would start a *new* build are shed — cached frames and
     // coalescing waiters are cheap and always admitted. The probe
     // is advisory (the entry may change before get_or_build), so
     // the limit is a strong bound, not a hard invariant.
@@ -424,71 +463,65 @@ fn acquire_frame<S: Write>(
         Probe::Vacant => match try_extraction_permit(shared) {
             Some(p) => Some(p),
             None => {
-                shared.metrics.add(CTR_SHED_EXTRACTIONS, 1);
-                let reply = Response::Error {
-                    code: ERR_BUSY,
-                    message: "extraction capacity reached; retry after ~100 ms".to_string(),
-                };
-                return Ok(Err((
-                    write_response_v(stream, session_version, &reply)?,
-                    false,
-                )));
+                shared.metrics.add(names.shed_extractions, 1);
+                let message = "extraction capacity reached; retry after ~100 ms".to_string();
+                return Err((ERR_BUSY, message));
             }
         },
         Probe::Ready | Probe::Building => None,
     };
     let (built, outcome) = {
-        let mut span = accelviz_trace::span("serve.extract");
+        let mut span = accelviz_trace::span(names.span_extract);
         span.arg("frame", frame as f64);
         span.arg("threshold", threshold);
         let (built, outcome) = shared
             .cache
-            .get_or_build(key, || build_frame(shared, frame as usize, threshold));
+            .get_or_build(key, || build_frame(shared, frame, threshold));
         span.arg("cache_hit", (outcome != Outcome::Built) as u64 as f64);
         (built, outcome)
     };
-    let extracted = match built {
-        Ok(extracted) => extracted,
-        Err(message) => {
-            let reply = Response::Error {
-                code: ERR_INTERNAL,
-                message,
-            };
-            return Ok(Err((
-                write_response_v(stream, session_version, &reply)?,
-                false,
-            )));
+    // A dead shard or a failed disk read degrades this frame in-band and
+    // keeps the session; a resilient client turns it into a flagged
+    // stale frame.
+    let served = built.map_err(|message| (ERR_INTERNAL, message))?;
+    // A coalesced waiter shares the builder's frame: a hit.
+    match outcome {
+        Outcome::Hit => shared.metrics.add(names.cache_hits, 1),
+        Outcome::Coalesced => {
+            shared.metrics.add(names.coalesced, 1);
+            shared.metrics.add(names.cache_hits, 1)
         }
+        Outcome::Built => shared.metrics.add(names.cache_misses, 1),
     };
-    // A coalesced waiter shares the builder's extraction: a hit.
-    shared.metrics.add(
-        match outcome {
-            Outcome::Hit | Outcome::Coalesced => CTR_CACHE_HITS,
-            Outcome::Built => CTR_CACHE_MISSES,
-        },
-        1,
-    );
-    Ok(Ok(extracted))
+    Ok(served)
 }
 
 /// Builds one frame for the cache. The stored backend pages the
-/// frame's particles in here, so only the builder touches the disk
-/// (coalesced waiters share its result) and a disk failure becomes the
-/// build's error — an in-band `ERR_INTERNAL` for the builder and its
-/// waiters that is never cached.
-fn build_frame(shared: &Shared, frame: usize, threshold: f64) -> Result<HybridFrame, String> {
+/// frame's particles in here and the shard backend fetches upstream, so
+/// only the builder touches the disk or a shard (coalesced waiters share
+/// its result) and a failure becomes the build's error — an in-band
+/// `ERR_INTERNAL` for the builder and its waiters that is never cached.
+fn build_frame(shared: &Shared, frame: u32, threshold: f64) -> Result<HybridFrame, String> {
     let fetched;
     let data = match &shared.backend {
-        Backend::Resident(data) => &data[frame],
+        Backend::Resident(data) => &data[frame as usize],
         Backend::Stored(run) => {
             fetched = run
-                .fetch(frame)
+                .fetch(frame as usize)
                 .map_err(|e| format!("run store failed loading frame {frame}: {e}"))?;
             &*fetched.data
         }
+        Backend::Shards(shards) => {
+            return fetch_replicated(shards, &shared.metrics, frame, threshold)
+        }
     };
     let dims = shared.config.volume_dims;
-    Ok(HybridFrame::from_partition(data, frame, threshold, dims))
+    Ok(HybridFrame::from_partition(
+        data,
+        frame as usize,
+        threshold,
+        dims,
+    ))
 }
 
 #[cfg(test)]
@@ -529,7 +562,9 @@ mod tests {
         };
         let shared = Shared {
             backend: Backend::Resident(Vec::new()),
+            catalog: Vec::new(),
             config,
+            names: &SERVE_COUNTERS,
             cache: FrameCache::new(2, |_| 1),
             metrics: Registry::new(),
             building_extractions: AtomicUsize::new(0),

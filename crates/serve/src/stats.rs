@@ -25,6 +25,9 @@ pub const CTR_BYTES_SENT: &str = "serve.bytes_sent";
 pub const CTR_CACHE_HITS: &str = "serve.cache_hits";
 /// Registry counter: frame requests that ran a fresh extraction.
 pub const CTR_CACHE_MISSES: &str = "serve.cache_misses";
+/// Registry counter: frame requests that joined an extraction already in
+/// flight (a subset of `serve.cache_hits`). Registry-only.
+pub const CTR_COALESCED: &str = "serve.coalesced_fetches";
 /// Registry histogram: request service-time distribution.
 pub const HIST_LATENCY: &str = "serve.request_latency";
 /// Registry counter: connections refused at the connection cap (the
@@ -100,6 +103,26 @@ impl ServerStats {
             latency: reg.histogram(HIST_LATENCY).unwrap_or_default(),
             frame_bytes_raw: reg.counter(CTR_FRAME_BYTES_RAW),
             frame_bytes_wire: reg.counter(CTR_FRAME_BYTES_WIRE),
+        }
+    }
+
+    /// Adds `other`'s counters and latency buckets into `self` — how a
+    /// router sums its shards' snapshots into one.
+    pub fn merge(&mut self, other: &ServerStats) {
+        self.requests += other.requests;
+        self.frames_served += other.frames_served;
+        self.bytes_sent += other.bytes_sent;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.frame_bytes_raw += other.frame_bytes_raw;
+        self.frame_bytes_wire += other.frame_bytes_wire;
+        for (t, c) in self
+            .latency
+            .counts
+            .iter_mut()
+            .zip(other.latency.counts.iter())
+        {
+            *t += c;
         }
     }
 
@@ -210,6 +233,36 @@ mod tests {
         assert!(s.summary().contains("4.00x"));
         assert_eq!(s.latency.total(), 1);
         assert_eq!(s.latency.counts[2], 1);
+    }
+
+    #[test]
+    fn merge_sums_every_field() {
+        // Every counter the snapshot reads, each at a distinct value.
+        let reg = Registry::new();
+        let fill = |reg: &Registry| {
+            let names = [
+                CTR_REQUESTS,
+                CTR_FRAMES_SERVED,
+                CTR_BYTES_SENT,
+                CTR_CACHE_HITS,
+                CTR_CACHE_MISSES,
+                CTR_FRAME_BYTES_RAW,
+                CTR_FRAME_BYTES_WIRE,
+            ];
+            for (i, name) in names.into_iter().enumerate() {
+                reg.add(name, i as u64 + 1);
+            }
+            reg.record_seconds(HIST_LATENCY, 2.0);
+        };
+        fill(&reg);
+        let once = ServerStats::from_registry(&reg);
+        let mut total = ServerStats::default();
+        total.merge(&once);
+        assert_eq!(total, once, "merging into the default copies");
+        total.merge(&once);
+        fill(&reg);
+        assert_eq!(total, ServerStats::from_registry(&reg));
+        assert_eq!(total.latency.counts[5], 2);
     }
 
     #[test]

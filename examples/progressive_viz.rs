@@ -17,8 +17,8 @@
 //!
 //! Run: `cargo run --release --example progressive_viz`
 //!
-//! Knobs: `ACCELVIZ_LOD_BUDGET` overrides the chunk byte budget when the
-//! request leaves it at 0 (see OPERATIONS.md).
+//! A request that leaves the chunk budget at 0 gets the server default,
+//! `lod::DEFAULT_CHUNK_BYTES` (64 KiB).
 
 use accelviz::beam::simulation::{BeamConfig, BeamSimulation};
 use accelviz::core::hybrid::HybridFrame;

@@ -63,7 +63,10 @@ fn reference_frames(data: &[PartitionedData]) -> Vec<accelviz::core::hybrid::Hyb
 fn chaos_router(seed: u64) -> RouterConfig {
     RouterConfig {
         cache_bytes: 1,
-        upstream_retry: Some(RetryPolicy::fast(seed)),
+        upstream: ClientConfig {
+            retry: Some(RetryPolicy::fast(seed)),
+            ..ClientConfig::default()
+        },
         breaker: BreakerConfig {
             failure_threshold: 1,
             open_cooldown: Duration::from_secs(120),
@@ -278,7 +281,10 @@ fn prober_trips_the_breaker_without_client_traffic() {
         ServerConfig::default(),
         RouterConfig {
             cache_bytes: 1,
-            upstream_retry: Some(RetryPolicy::fast(404)),
+            upstream: ClientConfig {
+                retry: Some(RetryPolicy::fast(404)),
+                ..ClientConfig::default()
+            },
             breaker: BreakerConfig {
                 failure_threshold: 2,
                 open_cooldown: Duration::from_secs(120),
@@ -337,7 +343,10 @@ fn prober_reinstates_a_shard_that_returns_on_its_old_address() {
         map,
         RouterConfig {
             cache_bytes: 1,
-            upstream_retry: Some(RetryPolicy::fast(505)),
+            upstream: ClientConfig {
+                retry: Some(RetryPolicy::fast(505)),
+                ..ClientConfig::default()
+            },
             breaker: BreakerConfig {
                 failure_threshold: 1,
                 // Short cooldown: recovery may also arrive via a

@@ -14,9 +14,14 @@ use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::protocol::{ERR_BAD_THRESHOLD, ERR_NO_SUCH_FRAME};
 use accelviz::serve::router::{
     CTR_ROUTER_CACHE_HITS, CTR_ROUTER_CACHE_MISSES, CTR_ROUTER_COALESCED,
+    CTR_ROUTER_FRAME_BYTES_RAW, CTR_ROUTER_FRAME_BYTES_WIRE, CTR_ROUTER_FRAME_ENCODES,
+    CTR_ROUTER_LOD_BYTES_WIRE, CTR_ROUTER_LOD_CHUNKS, CTR_ROUTER_LOD_REQUESTS,
     CTR_ROUTER_UPSTREAM_ERRORS, CTR_ROUTER_UPSTREAM_FETCHES,
 };
-use accelviz::serve::stats::{CTR_CACHE_MISSES, CTR_FRAMES_SERVED};
+use accelviz::serve::stats::{
+    CTR_CACHE_HITS, CTR_CACHE_MISSES, CTR_FRAMES_SERVED, CTR_FRAME_BYTES_RAW, CTR_FRAME_BYTES_WIRE,
+    CTR_FRAME_ENCODES, CTR_LOD_BYTES_WIRE, CTR_LOD_CHUNKS, CTR_LOD_REQUESTS,
+};
 use accelviz::serve::wire::{V1, V2};
 use accelviz::serve::{
     Client, ClientConfig, FrameRouter, FrameServer, RemoteFrames, RetryPolicy, RouterConfig,
@@ -127,6 +132,58 @@ fn one_shard_service_is_bit_identical_to_a_direct_server() {
             );
         }
     }
+    direct.shutdown();
+    service.shutdown();
+}
+
+/// A router answers through the same request path as a server, so the
+/// same request sequence costs it the same encodes and writes the same
+/// frame and chunk bytes: each `router.*` stage counter equals the
+/// direct server's `serve.*` twin, at both wire versions.
+#[test]
+fn router_counts_encodes_and_frame_bytes_like_a_direct_server() {
+    let data = stores(FRAMES);
+    let direct = FrameServer::spawn_loopback(data.clone(), ServerConfig::default()).unwrap();
+    let service = ShardedFrameService::spawn_loopback(
+        data,
+        2,
+        ServerConfig::default(),
+        RouterConfig::default(),
+    )
+    .unwrap();
+    for version in [V1, V2] {
+        for addr in [direct.addr(), service.addr()] {
+            let mut client = Client::connect_with(addr, pinned(version)).unwrap();
+            // Every frame twice: a build (or a hit from the previous
+            // version's pass), then a hit that reuses the envelope.
+            for frame in (0..FRAMES as u32).chain(0..FRAMES as u32) {
+                client.fetch(frame, f64::INFINITY).unwrap();
+            }
+            if version == V2 {
+                client.fetch_progressive(1, f64::INFINITY, 2_048).unwrap();
+            }
+        }
+    }
+    let (sm, rm) = (direct.metrics(), service.router().metrics());
+    for (serve, router) in [
+        (CTR_FRAME_ENCODES, CTR_ROUTER_FRAME_ENCODES),
+        (CTR_FRAME_BYTES_RAW, CTR_ROUTER_FRAME_BYTES_RAW),
+        (CTR_FRAME_BYTES_WIRE, CTR_ROUTER_FRAME_BYTES_WIRE),
+        (CTR_LOD_REQUESTS, CTR_ROUTER_LOD_REQUESTS),
+        (CTR_LOD_CHUNKS, CTR_ROUTER_LOD_CHUNKS),
+        (CTR_LOD_BYTES_WIRE, CTR_ROUTER_LOD_BYTES_WIRE),
+        (CTR_CACHE_HITS, CTR_ROUTER_CACHE_HITS),
+        (CTR_CACHE_MISSES, CTR_ROUTER_CACHE_MISSES),
+    ] {
+        assert!(sm.counter(serve) > 0, "{serve} never moved");
+        assert_eq!(
+            rm.counter(router),
+            sm.counter(serve),
+            "{router} must equal {serve}"
+        );
+    }
+    // One encode per frame per wire version.
+    assert_eq!(rm.counter(CTR_ROUTER_FRAME_ENCODES), 2 * FRAMES as u64);
     direct.shutdown();
     service.shutdown();
 }
@@ -292,7 +349,21 @@ fn shard_kill_mid_session_degrades_and_recovers_on_restart() {
         .nth(1)
         .unwrap_or(survivor);
     remote.load(other_survivor as usize).unwrap();
+    // A failed upstream fetch is neither a cache hit nor a miss: it
+    // counts only as an upstream error.
+    let rm = router.metrics();
+    let lookups = || rm.counter(CTR_ROUTER_CACHE_HITS) + rm.counter(CTR_ROUTER_CACHE_MISSES);
+    let (lookups_before, errors_before) = (lookups(), rm.counter(CTR_ROUTER_UPSTREAM_ERRORS));
     let (stale, load) = remote.load(victim as usize).unwrap();
+    assert_eq!(
+        lookups(),
+        lookups_before,
+        "a failed fetch must not count as a cache hit or miss"
+    );
+    assert!(
+        rm.counter(CTR_ROUTER_UPSTREAM_ERRORS) > errors_before,
+        "the failed fetch must count as an upstream error"
+    );
     assert!(
         load.degraded,
         "a dead shard must degrade its frames, not fail the session"
