@@ -5,7 +5,8 @@ use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
 use accelviz_math::{Aabb, Vec3};
 use accelviz_octree::density::DensityGrid;
-use accelviz_octree::extraction::extract;
+use accelviz_octree::extraction::prefix_cut;
+use accelviz_octree::node::Octree;
 use accelviz_octree::plots::PlotType;
 use accelviz_octree::sorted_store::PartitionedData;
 
@@ -42,43 +43,86 @@ impl HybridFrame {
         threshold: f64,
         volume_dims: [usize; 3],
     ) -> HybridFrame {
+        let bounds = data.tree().bounds;
+        let grid = DensityGrid::from_particles(data.particles(), data.plot(), bounds, volume_dims);
+        HybridFrame::from_prefix(
+            data.tree(),
+            data.sorted_leaves(),
+            data.plot(),
+            data.particles(),
+            grid,
+            step,
+            threshold,
+        )
+    }
+
+    /// Builds a hybrid frame from what extraction needs and no more: the
+    /// octree with its density-ordered leaves, a leading run `prefix` of
+    /// the sorted particle file at least as long as the kept prefix at
+    /// `threshold` (longer is fine — the surplus is not copied), and the
+    /// frame's density `grid`, which does not depend on the threshold.
+    /// This is the paper's extraction with "discarded particles never
+    /// read": [`HybridFrame::from_partition`] passes the whole particle
+    /// file, an out-of-core reader only the chunks covering the prefix.
+    ///
+    /// # Panics
+    /// If `prefix` is shorter than the kept prefix at `threshold`.
+    pub fn from_prefix(
+        tree: &Octree,
+        sorted_leaves: &[u32],
+        plot: PlotType,
+        prefix: &[Particle],
+        grid: DensityGrid,
+        step: usize,
+        threshold: f64,
+    ) -> HybridFrame {
         let mut span = accelviz_trace::span("core.hybrid_frame");
-        let ex = extract(data, threshold);
+        let cut = prefix_cut(tree, sorted_leaves, threshold);
+        assert!(
+            prefix.len() >= cut.kept,
+            "a prefix of {} particles cannot hold the {} kept at threshold {threshold}",
+            prefix.len(),
+            cut.kept
+        );
+        // The groups tile the whole particle file, so the last one ends
+        // at its particle count.
+        let total = sorted_leaves.last().map_or(0, |&li| {
+            let n = &tree.nodes[li as usize];
+            n.offset + n.len
+        });
+        let discarded = total - cut.kept as u64;
         if span.is_active() {
             span.arg("step", step as f64);
             span.arg("threshold", threshold);
-            span.arg("points_kept", ex.particles.len() as f64);
-            span.arg("voxelized", ex.discarded as f64);
+            span.arg("points_kept", cut.kept as f64);
+            span.arg("voxelized", discarded as f64);
         }
-        let bounds = data.tree().bounds;
-        let grid = DensityGrid::from_particles(data.particles(), data.plot(), bounds, volume_dims);
 
         // Per-particle normalized node densities (for the point TF): walk
         // the kept leaves in order; their groups tile the kept prefix.
-        let max_density = data
-            .sorted_leaves()
+        let max_density = sorted_leaves
             .iter()
-            .map(|&li| data.tree().nodes[li as usize].density)
+            .map(|&li| tree.nodes[li as usize].density)
             .fold(0.0f64, f64::max)
             .max(1e-300);
-        let mut point_densities = Vec::with_capacity(ex.particles.len());
-        for &li in data.sorted_leaves().iter().take(ex.leaves_kept) {
-            let n = &data.tree().nodes[li as usize];
+        let mut point_densities = Vec::with_capacity(cut.kept);
+        for &li in &sorted_leaves[..cut.leaves_kept] {
+            let n = &tree.nodes[li as usize];
             for _ in 0..n.len {
                 point_densities.push(n.density / max_density);
             }
         }
-        debug_assert_eq!(point_densities.len(), ex.particles.len());
+        debug_assert_eq!(point_densities.len(), cut.kept);
 
         HybridFrame {
             step,
-            plot: data.plot(),
-            bounds,
-            points: ex.particles.to_vec(),
+            plot,
+            bounds: tree.bounds,
+            points: prefix[..cut.kept].to_vec(),
             point_densities,
             grid,
             threshold,
-            discarded: ex.discarded,
+            discarded,
         }
     }
 

@@ -11,8 +11,8 @@
 //! to the output; no computation is necessary for the particles, and
 //! discarded particles are never read from disk."
 
-use crate::node::{Node, Octree};
-use crate::sorted_store::PartitionedData;
+use crate::node::Octree;
+use crate::sorted_store::{leaf_order, PartitionedData};
 use accelviz_beam::io::BYTES_PER_PARTICLE;
 use accelviz_beam::particle::Particle;
 
@@ -49,44 +49,62 @@ impl<'a> HybridExtract<'a> {
     }
 }
 
-/// Extracts the hybrid point set at `threshold` density from a partitioned
-/// frame.
+/// Where the kept prefix ends at a threshold density.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrefixCut {
+    /// Leading groups (in density order) whose leaf density is below the
+    /// threshold.
+    pub leaves_kept: usize,
+    /// Particles those groups cover: the kept prefix is `[0, kept)`.
+    pub kept: usize,
+}
+
+/// The kept prefix at `threshold`, computed from the node file alone: a
+/// tree plus its density-ordered leaves (as stored, or recovered by
+/// [`leaf_order`]). This is the whole of extraction — the particles
+/// themselves are only the first [`PrefixCut::kept`] records of the
+/// particle file, so a reader can size its read before touching it.
 ///
-/// Runs in O(log L) in the number of leaves (binary search over the sorted
-/// leaf densities) — the extraction itself is a zero-copy prefix borrow,
-/// faithfully modeling "no computation is necessary for the particles".
-pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
+/// Runs in O(log L) in the number of leaves (binary search over the
+/// sorted leaf densities).
+pub fn prefix_cut(tree: &Octree, sorted_leaves: &[u32], threshold: f64) -> PrefixCut {
     let mut span = accelviz_trace::span("octree.extract");
-    let leaves = data.sorted_leaves();
     // partition_point: first leaf whose density is >= threshold. The
     // comparator count is the real number of node visits the binary
     // search performed — the instrumented evidence for the O(log L)
     // claim above.
     let visits = std::cell::Cell::new(0u64);
-    let cut = leaves.partition_point(|&li| {
+    let leaves_kept = sorted_leaves.partition_point(|&li| {
         visits.set(visits.get() + 1);
-        data.tree().nodes[li as usize].density < threshold
+        tree.nodes[li as usize].density < threshold
     });
-    let prefix_len = if cut == 0 {
-        0
-    } else {
-        let last = &data.tree().nodes[leaves[cut - 1] as usize];
-        (last.offset + last.len) as usize
-    };
-    let result = HybridExtract {
-        particles: &data.particles()[..prefix_len],
-        threshold,
-        leaves_kept: cut,
-        discarded: (data.particles().len() - prefix_len) as u64,
+    let kept = match leaves_kept.checked_sub(1) {
+        Some(last) => {
+            let last = &tree.nodes[sorted_leaves[last] as usize];
+            last.offset.saturating_add(last.len) as usize
+        }
+        None => 0,
     };
     if span.is_active() {
         span.arg("threshold", threshold);
         span.arg("node_visits", visits.get() as f64);
-        span.arg("leaves_kept", result.leaves_kept as f64);
-        span.arg("kept", result.particles.len() as f64);
-        span.arg("discarded", result.discarded as f64);
+        span.arg("leaves_kept", leaves_kept as f64);
+        span.arg("kept", kept as f64);
     }
-    result
+    PrefixCut { leaves_kept, kept }
+}
+
+/// Extracts the hybrid point set at `threshold` density from a partitioned
+/// frame: [`prefix_cut`] plus a zero-copy borrow of the prefix, faithfully
+/// modeling "no computation is necessary for the particles".
+pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
+    let cut = prefix_cut(data.tree(), data.sorted_leaves(), threshold);
+    HybridExtract {
+        particles: &data.particles()[..cut.kept],
+        threshold,
+        leaves_kept: cut.leaves_kept,
+        discarded: (data.particles().len() - cut.kept) as u64,
+    }
 }
 
 /// Finds the threshold density that keeps (approximately, rounding up to a
@@ -95,10 +113,13 @@ pub fn extract(data: &PartitionedData, threshold: f64) -> HybridExtract<'_> {
 /// parameter ... allows the user to balance file size and visual
 /// accuracy".
 pub fn threshold_for_budget(data: &PartitionedData, max_particles: usize) -> f64 {
-    let leaves = data.sorted_leaves();
+    budget_threshold(data.tree(), data.sorted_leaves(), max_particles)
+}
+
+fn budget_threshold(tree: &Octree, sorted_leaves: &[u32], max_particles: usize) -> f64 {
     let mut kept = 0u64;
-    for &li in leaves {
-        let n = &data.tree().nodes[li as usize];
+    for &li in sorted_leaves {
+        let n = &tree.nodes[li as usize];
         if kept + n.len > max_particles as u64 {
             return n.density;
         }
@@ -158,24 +179,12 @@ pub fn progressive_cuts(data: &PartitionedData, threshold: f64, chunk_points: us
 }
 
 /// [`threshold_for_budget`] from the octree alone, without the particle
-/// array. The density order is recovered from the leaf offsets (the
-/// store invariant: groups appear in ascending density), exactly as the
-/// disk-read path does — so an out-of-core server can answer "what
+/// array. The density order is recovered by [`leaf_order`], exactly as
+/// the disk-read path does — so an out-of-core server can answer "what
 /// threshold fits this budget?" for a frame whose particles are not
 /// resident, reading only the node file.
 pub fn threshold_for_budget_tree(tree: &Octree, max_particles: usize) -> f64 {
-    let mut leaves: Vec<&Node> = tree.nodes.iter().filter(|n| n.is_leaf()).collect();
-    // Empty groups share offset 0 with the first real group; order them
-    // first, matching `PartitionedData::from_disk`.
-    leaves.sort_by_key(|a| (a.offset, a.len > 0));
-    let mut kept = 0u64;
-    for n in leaves {
-        if kept + n.len > max_particles as u64 {
-            return n.density;
-        }
-        kept += n.len;
-    }
-    f64::INFINITY
+    budget_threshold(tree, &leaf_order(tree), max_particles)
 }
 
 #[cfg(test)]

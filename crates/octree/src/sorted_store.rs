@@ -95,19 +95,7 @@ impl PartitionedData {
         particles: Vec<Particle>,
         plot: PlotType,
     ) -> Result<PartitionedData, String> {
-        let mut sorted_leaves: Vec<u32> = tree
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf())
-            .map(|(i, _)| i as u32)
-            .collect();
-        // Empty groups share offset 0 with the first real group: order
-        // them first (they "occupy" zero bytes there), then by offset.
-        sorted_leaves.sort_by_key(|&li| {
-            let n = &tree.nodes[li as usize];
-            (n.offset, n.len > 0, li)
-        });
+        let sorted_leaves = leaf_order(&tree);
         let data = PartitionedData {
             tree,
             particles,
@@ -194,36 +182,73 @@ impl PartitionedData {
     /// groups are contiguous, cover the particle array exactly, and appear
     /// in ascending density order.
     pub fn validate(&self) -> Result<(), String> {
-        let mut expected_offset = 0u64;
-        let mut last_density = f64::NEG_INFINITY;
-        for &li in &self.sorted_leaves {
-            let n = &self.tree.nodes[li as usize];
-            if !n.is_leaf() {
-                return Err(format!("sorted leaf {li} is not a leaf"));
-            }
-            if n.offset != expected_offset {
-                return Err(format!(
-                    "group of leaf {li} starts at {} expected {expected_offset}",
-                    n.offset
-                ));
-            }
-            if n.density < last_density {
-                return Err(format!(
-                    "density order violated at leaf {li}: {} after {last_density}",
-                    n.density
-                ));
-            }
-            last_density = n.density;
-            expected_offset += n.len;
+        check_leaf_order(&self.tree, &self.sorted_leaves, self.particles.len() as u64)
+    }
+}
+
+/// Leaf node indices of `tree` in the sorted store's group order,
+/// recovered from the leaf offsets alone: groups appear in ascending
+/// density, so ordering the leaves by offset recovers the density order
+/// without the particle file. Empty groups share offset 0 with the first
+/// real group; they order first (they "occupy" zero bytes there). Every
+/// reader that starts from a node file — the disk-read path, the
+/// tree-only budget threshold, disk extraction and the run store's
+/// prefix reads — derives the order here.
+pub fn leaf_order(tree: &Octree) -> Vec<u32> {
+    let mut leaves: Vec<u32> = tree
+        .nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.is_leaf())
+        .map(|(i, _)| i as u32)
+        .collect();
+    leaves.sort_by_key(|&li| {
+        let n = &tree.nodes[li as usize];
+        (n.offset, n.len > 0, li)
+    });
+    leaves
+}
+
+/// Checks that `sorted_leaves` is a valid group order over a particle
+/// file of `particle_count` particles: every entry is a leaf, the groups
+/// are contiguous and cover the file exactly, and they appear in
+/// ascending density order. An order that passes makes every
+/// threshold's kept set a prefix of the file.
+pub fn check_leaf_order(
+    tree: &Octree,
+    sorted_leaves: &[u32],
+    particle_count: u64,
+) -> Result<(), String> {
+    let mut expected_offset = 0u64;
+    let mut last_density = f64::NEG_INFINITY;
+    for &li in sorted_leaves {
+        let n = &tree.nodes[li as usize];
+        if !n.is_leaf() {
+            return Err(format!("sorted leaf {li} is not a leaf"));
         }
-        if expected_offset != self.particles.len() as u64 {
+        if n.offset != expected_offset {
             return Err(format!(
-                "groups cover {expected_offset} of {} particles",
-                self.particles.len()
+                "group of leaf {li} starts at {} expected {expected_offset}",
+                n.offset
             ));
         }
-        Ok(())
+        if n.density < last_density {
+            return Err(format!(
+                "density order violated at leaf {li}: {} after {last_density}",
+                n.density
+            ));
+        }
+        last_density = n.density;
+        expected_offset = expected_offset
+            .checked_add(n.len)
+            .ok_or_else(|| format!("group of leaf {li} overflows the particle file"))?;
     }
+    if expected_offset != particle_count {
+        return Err(format!(
+            "groups cover {expected_offset} of {particle_count} particles"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //! kept prefix of the particle file — "discarded particles are never read
 //! from disk".
 
+use crate::extraction::prefix_cut;
 use crate::node::{Node, Octree};
 use crate::plots::PlotType;
-use crate::sorted_store::PartitionedData;
+use crate::sorted_store::{leaf_order, PartitionedData};
 use accelviz_beam::io::{read_snapshot, write_snapshot, BYTES_PER_PARTICLE, HEADER_BYTES};
 use accelviz_beam::particle::{Particle, PhaseCoord};
 use accelviz_math::{Aabb, Vec3};
@@ -180,17 +181,7 @@ pub fn extract_from_files<R1: Read, R2: Read>(
     threshold: f64,
 ) -> io::Result<DiskExtract> {
     let (tree, _plot) = read_node_file(node_r)?;
-    // Leaves sorted by offset are the density order (the store invariant).
-    let mut leaves: Vec<&Node> = tree.nodes.iter().filter(|n| n.is_leaf()).collect();
-    leaves.sort_by_key(|n| n.offset);
-    let mut prefix = 0u64;
-    for n in &leaves {
-        if n.density < threshold {
-            prefix = prefix.max(n.offset + n.len);
-        } else {
-            break;
-        }
-    }
+    let prefix = prefix_cut(&tree, &leaf_order(&tree), threshold).kept as u64;
     // Read header + exactly `prefix` particles. The reads are chunked
     // (up to ~760 KiB each) but never sized past the prefix boundary:
     // the headline claim is that discarded particles are *never read*,

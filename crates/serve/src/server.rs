@@ -110,14 +110,18 @@ impl Default for ServerConfig {
 
 /// Where a service's frames come from: fully resident in memory (the
 /// original topology — every partitioned store loaded up front), an
-/// on-disk run whose particle data pages in and out under
-/// [`ResidentRun`]'s byte budget, or — for a router — the shard servers
-/// upstream. The request handlers are written against this enum, so every
-/// backend speaks the identical protocol and serves bit-identical frames.
+/// on-disk run read through [`ResidentRun::frame`] — only each build's
+/// kept prefix pages in, plus one full read per frame to bin its density
+/// grid on first touch, all under the run's byte budget — or, for a
+/// router, the shard servers upstream. The request handlers are written
+/// against this enum, so every backend speaks the identical protocol and
+/// serves bit-identical frames.
 pub(crate) enum Backend {
     /// Every frame's partitioned store held in memory.
     Resident(Vec<PartitionedData>),
-    /// Frames fetched on demand from an `accelviz-store` run file.
+    /// Frames built on demand from an `accelviz-store` run file: the
+    /// resident tree sizes each build's read to its kept prefix, and the
+    /// frame's grid is binned once and held.
     Stored(Arc<ResidentRun>),
     /// Frames fetched from the owning shard servers.
     Shards(Arc<Shards>),
@@ -497,31 +501,26 @@ fn acquire_frame(
 }
 
 /// Builds one frame for the cache. The stored backend pages the
-/// frame's particles in here and the shard backend fetches upstream, so
-/// only the builder touches the disk or a shard (coalesced waiters share
-/// its result) and a failure becomes the build's error — an in-band
-/// `ERR_INTERNAL` for the builder and its waiters that is never cached.
+/// frame's kept prefix (and, on first touch, its grid) in here and the
+/// shard backend fetches upstream, so only the builder touches the disk
+/// or a shard (coalesced waiters share its result) and a failure
+/// becomes the build's error — an in-band `ERR_INTERNAL` for the builder
+/// and its waiters that is never cached.
 fn build_frame(shared: &Shared, frame: u32, threshold: f64) -> Result<HybridFrame, String> {
-    let fetched;
-    let data = match &shared.backend {
-        Backend::Resident(data) => &data[frame as usize],
-        Backend::Stored(run) => {
-            fetched = run
-                .fetch(frame as usize)
-                .map_err(|e| format!("run store failed loading frame {frame}: {e}"))?;
-            &*fetched.data
-        }
-        Backend::Shards(shards) => {
-            return fetch_replicated(shards, &shared.metrics, frame, threshold)
-        }
-    };
     let dims = shared.config.volume_dims;
-    Ok(HybridFrame::from_partition(
-        data,
-        frame as usize,
-        threshold,
-        dims,
-    ))
+    match &shared.backend {
+        Backend::Resident(data) => Ok(HybridFrame::from_partition(
+            &data[frame as usize],
+            frame as usize,
+            threshold,
+            dims,
+        )),
+        Backend::Stored(run) => run
+            .frame(frame as usize, threshold, dims)
+            .map(|built| built.data)
+            .map_err(|e| format!("run store failed loading frame {frame}: {e}")),
+        Backend::Shards(shards) => fetch_replicated(shards, &shared.metrics, frame, threshold),
+    }
 }
 
 #[cfg(test)]

@@ -357,9 +357,29 @@ impl RunStore {
 
     /// Reads and checksum-verifies all particle chunks of frame `i`.
     pub fn load_particles(&self, i: usize) -> io::Result<Vec<Particle>> {
+        self.load_prefix(i, self.frames[i].particle_count)
+    }
+
+    /// Reads the first `n` particles of frame `i`: only the leading
+    /// chunks that cover records `[0, n)` are read and checksum-verified
+    /// — `ceil(n·48 / chunk_bytes)` of them in a file this crate wrote —
+    /// and exactly `n` particles are returned. A chunk past the prefix is
+    /// never touched, so its bytes (and its checksum) cannot matter.
+    /// Asking for more particles than the frame holds is `InvalidInput`.
+    pub fn load_prefix(&self, i: usize, n: u64) -> io::Result<Vec<Particle>> {
         let d = &self.frames[i];
-        let mut particles = Vec::with_capacity(d.particle_count as usize);
-        for ci in d.first_chunk..d.first_chunk + d.n_chunks {
+        if n > d.particle_count {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "prefix of {n} particles exceeds frame {i}'s {}",
+                    d.particle_count
+                ),
+            ));
+        }
+        let mut particles = Vec::with_capacity(n as usize);
+        let mut ci = d.first_chunk;
+        while (particles.len() as u64) < n {
             let c = &self.chunks[ci as usize];
             let bytes = self.src.read_at(c.off, c.len as usize)?;
             self.chunks_read.fetch_add(1, Ordering::Relaxed);
@@ -368,13 +388,15 @@ impl RunStore {
             if fnv1a64(&bytes) != c.fnv {
                 return Err(bad(format!("chunk {ci} of frame {i} failed checksum")));
             }
-            for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize) {
+            let wanted = (n - particles.len() as u64) as usize;
+            for rec in bytes.chunks_exact(BYTES_PER_PARTICLE as usize).take(wanted) {
                 let mut a = [0.0f64; 6];
                 for (k, v) in a.iter_mut().enumerate() {
                     *v = f64::from_le_bytes(rec[k * 8..(k + 1) * 8].try_into().unwrap());
                 }
                 particles.push(Particle::from_array(a));
             }
+            ci += 1;
         }
         Ok(particles)
     }
@@ -441,6 +463,86 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let store = RunStore::open(&path).unwrap();
         let err = store.load_particles(0).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Flips one byte of chunk `k` of frame 0, locating it through the
+    /// file's own chunk table.
+    fn corrupt_chunk(path: &Path, k: usize) {
+        let off = {
+            let store = RunStore::open(path).unwrap();
+            store.chunks[store.frames[0].first_chunk as usize + k].off as usize
+        };
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[off + 5] ^= 0x40;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn load_prefix_reads_exactly_the_covering_chunks() {
+        let frames = build_frames(1, 1_000);
+        let path = scratch("prefix");
+        write_run_file(&path, &frames, 4_800).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        let per_chunk = (store.chunk_bytes() / BYTES_PER_PARTICLE) as usize;
+        assert_eq!(per_chunk, 100);
+        let all = frames[0].particles();
+        for n in [1usize, 99, 100, 101, 250, 999] {
+            let (chunks0, bytes0) = store.io_stats();
+            let got = store.load_prefix(0, n as u64).unwrap();
+            let (chunks1, bytes1) = store.io_stats();
+            assert_eq!(got, &all[..n], "prefix of {n}");
+            let covering = n.div_ceil(per_chunk) as u64;
+            assert_eq!(chunks1 - chunks0, covering, "chunks read for {n}");
+            assert_eq!(bytes1 - bytes0, covering * store.chunk_bytes());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_prefix_of_nothing_reads_nothing_and_of_everything_is_the_frame() {
+        let frames = build_frames(1, 730);
+        let path = scratch("prefix-ends");
+        write_run_file(&path, &frames, 4_800).unwrap();
+        let store = RunStore::open(&path).unwrap();
+        let opened = store.io_stats();
+        assert!(store.load_prefix(0, 0).unwrap().is_empty());
+        assert_eq!(store.io_stats(), opened, "n = 0 reads nothing");
+        let whole = store.load_prefix(0, 730).unwrap();
+        assert_eq!(whole, store.load_particles(0).unwrap());
+        assert_eq!(whole, frames[0].particles());
+        let err = store.load_prefix(0, 731).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_corrupt_chunk_past_the_prefix_is_never_read() {
+        let frames = build_frames(1, 1_000);
+        let path = scratch("prefix-corrupt-past");
+        write_run_file(&path, &frames, 4_800).unwrap();
+        corrupt_chunk(&path, 3);
+        let store = RunStore::open(&path).unwrap();
+        // Chunks 0..3 cover particles [0, 300): all intact.
+        let got = store.load_prefix(0, 300).unwrap();
+        assert_eq!(got, &frames[0].particles()[..300]);
+        assert_eq!(store.io_stats().0, 3);
+        // One particle more needs the corrupt chunk.
+        let err = store.load_prefix(0, 301).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_corrupt_chunk_inside_the_prefix_fails_its_checksum() {
+        let frames = build_frames(1, 1_000);
+        let path = scratch("prefix-corrupt-inside");
+        write_run_file(&path, &frames, 4_800).unwrap();
+        corrupt_chunk(&path, 0);
+        let store = RunStore::open(&path).unwrap();
+        let err = store.load_prefix(0, 1).unwrap_err();
+        assert!(err.to_string().contains("chunk 0 of frame 0"), "{err}");
         assert!(err.to_string().contains("checksum"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

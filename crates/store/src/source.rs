@@ -5,19 +5,21 @@
 //! viewer steps through frames, warm frames display instantaneously, and
 //! cold frames stream from disk — except here the disk path is real
 //! (checksum-verified chunk reads through a memory map or pread), not a
-//! latency model. Residency is delegated to [`ResidentRun`]; this
-//! adapter only converts fetches into hybrid frames and load reports.
+//! latency model. Residency and extraction are delegated to
+//! [`ResidentRun::frame`] — the same stored-extraction path the frame
+//! server uses — and this adapter only picks the threshold and turns
+//! the result into a load report.
 
 use crate::resident::ResidentRun;
 use accelviz_core::hybrid::HybridFrame;
 use accelviz_core::viewer::{FrameLoad, FrameSource};
-use accelviz_octree::extraction::threshold_for_budget;
+use accelviz_octree::extraction::threshold_for_budget_tree;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Serves hybrid frames straight out of a run file, paging particle data
-/// in and out under [`ResidentRun`]'s byte budget.
+/// Serves hybrid frames straight out of a run file, paging kept prefixes
+/// and density grids in and out under [`ResidentRun`]'s byte budget.
 pub struct StoredRunSource {
     run: Arc<ResidentRun>,
     point_budget: usize,
@@ -53,16 +55,15 @@ impl FrameSource for StoredRunSource {
 
     fn load(&mut self, index: usize) -> io::Result<(Arc<HybridFrame>, FrameLoad)> {
         let started = Instant::now();
-        let fetch = self.run.fetch(index)?;
-        let threshold = threshold_for_budget(&fetch.data, self.point_budget);
-        let frame = HybridFrame::from_partition(&fetch.data, index, threshold, self.volume_dims);
+        let threshold = threshold_for_budget_tree(&self.run.tree(index).0, self.point_budget);
+        let built = self.run.frame(index, threshold, self.volume_dims)?;
         Ok((
-            Arc::new(frame),
+            Arc::new(built.data),
             FrameLoad {
-                cache_hit: fetch.warm,
-                bytes_loaded: fetch.bytes_loaded,
+                cache_hit: built.warm,
+                bytes_loaded: built.bytes_loaded,
                 seconds: started.elapsed().as_secs_f64(),
-                texture_resident: fetch.warm,
+                texture_resident: built.warm,
                 degraded: false,
                 partial: false,
             },
@@ -76,6 +77,7 @@ mod tests {
     use crate::run::write_run_file;
     use accelviz_beam::distribution::Distribution;
     use accelviz_octree::builder::{partition, BuildParams};
+    use accelviz_octree::extraction::threshold_for_budget;
     use accelviz_octree::plots::PlotType;
     use accelviz_octree::sorted_store::PartitionedData;
 

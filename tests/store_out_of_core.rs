@@ -9,6 +9,7 @@
 use accelviz::beam::distribution::Distribution;
 use accelviz::core::hybrid::HybridFrame;
 use accelviz::octree::builder::{partition, BuildParams};
+use accelviz::octree::extraction::threshold_for_budget;
 use accelviz::octree::plots::PlotType;
 use accelviz::octree::sorted_store::PartitionedData;
 use accelviz::serve::protocol::ERR_INTERNAL;
@@ -48,6 +49,7 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
     // Two frames' worth of budget against six frames of data.
     let budget = 2 * PARTICLES as u64 * PARTICLE_BYTES;
     let run = Arc::new(ResidentRun::open(&path, budget).unwrap());
+    let opened = run.stats();
     assert!(
         run.total_particle_bytes() > budget,
         "the run must not fit: {} B of particles, {budget} B of budget",
@@ -90,9 +92,18 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
     // The residency layer did real paging under its budget.
     let rs = run.stats();
     assert!(rs.resident_bytes <= rs.budget_bytes);
+    // A resident frame holds its kept prefix plus its binned grid, far
+    // less than a whole frame, so the budget admits more of them than
+    // it admits whole frames; each holds at least its grid's f32 cells,
+    // and the over-budget run still cannot keep them all.
+    let grid_bytes = (dims[0] * dims[1] * dims[2] * 4) as u64;
     assert!(
-        rs.resident_frames <= 2,
-        "budget admits two frames, {} resident",
+        rs.resident_frames as u64 * grid_bytes <= rs.resident_bytes,
+        "every resident frame holds its grid: {rs:?}"
+    );
+    assert!(
+        rs.resident_frames < FRAMES,
+        "budget cannot admit every frame, {} resident",
         rs.resident_frames
     );
     assert!(
@@ -100,7 +111,19 @@ fn stored_server_serves_a_run_bigger_than_its_residency_budget() {
         "revisits must re-page: {rs:?}"
     );
     assert!(rs.evictions >= 1, "an over-budget run must evict: {rs:?}");
-    assert!(rs.bytes_read >= rs.cold_loads * PARTICLES as u64 * PARTICLE_BYTES);
+    // Each cold load reads at least its kept prefix and at most one
+    // frame. The first pass keeps every particle, so each frame's first
+    // cold load reads it whole.
+    let frame_bytes = PARTICLES as u64 * PARTICLE_BYTES;
+    let paged = rs.bytes_read - opened.bytes_read;
+    assert!(
+        paged <= rs.cold_loads * frame_bytes,
+        "{paged} B paged: {rs:?}"
+    );
+    assert!(
+        paged >= FRAMES as u64 * frame_bytes,
+        "{paged} B paged: {rs:?}"
+    );
 
     // The v2 session moved compressed frame payloads.
     let stats = client.stats().unwrap();
@@ -185,6 +208,50 @@ fn pread_fallback_serves_identical_frames() {
             if run.is_mapped() { "mmap" } else { "pread" }
         );
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The paper's "discarded particles are never read from disk", on the
+/// serving path: once a frame's grid is binned (its first touch reads
+/// it whole), a build at a new threshold reads only the chunks that
+/// cover its kept prefix, and the frame stays bit-identical to
+/// extraction from the in-memory partition.
+#[test]
+fn a_warm_stored_server_reads_only_the_kept_prefix_for_a_new_threshold() {
+    let frames = build_frames();
+    let path = run_path("prefix");
+    write_run_file(&path, &frames, 4_096).unwrap();
+    let run = Arc::new(ResidentRun::open(&path, u64::MAX).unwrap());
+    let config = ServerConfig::default();
+    let dims = config.volume_dims;
+    let server = FrameServer::spawn_stored_loopback(Arc::clone(&run), config).unwrap();
+    let mut client = Client::connect_with(server.addr(), ClientConfig::no_retry()).unwrap();
+
+    // 4096 rounds up to 4128 bytes: 86 particles per chunk.
+    let per_chunk = 4_128 / PARTICLE_BYTES;
+    let frame_chunks = (PARTICLES as u64).div_ceil(per_chunk);
+    let data = &frames[2];
+    let tight = threshold_for_budget(data, 100);
+    let loose = threshold_for_budget(data, 500);
+
+    // Warm-up: the first touch reads the whole frame to bin its grid.
+    let before = run.stats().chunks_read;
+    let (got, _) = client.fetch(2, tight).unwrap();
+    assert_eq!(got, HybridFrame::from_partition(data, 2, tight, dims));
+    assert_eq!(run.stats().chunks_read - before, frame_chunks);
+
+    // A new threshold is a new cache key and a new build, which reads
+    // only the chunks covering its kept prefix.
+    let before = run.stats().chunks_read;
+    let (got, _) = client.fetch(2, loose).unwrap();
+    assert_eq!(got, HybridFrame::from_partition(data, 2, loose, dims));
+    let kept = got.points.len() as u64;
+    let read = run.stats().chunks_read - before;
+    assert_eq!(read, kept.div_ceil(per_chunk), "{kept} kept particles");
+    assert!(read < frame_chunks, "read {read} of {frame_chunks} chunks");
+    assert_eq!(client.stats().unwrap().cache_misses, 2);
+
+    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 
